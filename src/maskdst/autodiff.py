@@ -95,9 +95,6 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -574,7 +571,7 @@ def euclidean_distance(a, b) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Populate .grad on every requires_grad leaf reachable from `loss`.
 
-    Repeated calls without zero_grad accumulate.
+    Repeated calls accumulate into .grad until it is reset to None.
     """
     if loss.data.size != 1:
         raise RankError(f"backward expects a scalar loss, got shape {loss.shape}")

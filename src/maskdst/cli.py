@@ -38,7 +38,13 @@ def _load_config_file(path):
     if not os.path.exists(path):
         raise ValidationError(f"config file not found: {path}")
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValidationError(f"config file {path} must hold a JSON object")
+    unknown = sorted(set(cfg) - set(MODEL_KEYS) - set(TRAIN_KEYS))
+    if unknown:
+        raise ValidationError(f"config file {path} has unknown keys: {', '.join(unknown)}")
+    return cfg
 
 
 def _effective(args, file_cfg, keys, defaults):
@@ -105,6 +111,9 @@ def cmd_repair(args):
 
 def cmd_train(args):
     _require_file(args.corpus, "corpus file")
+    for flag, path in (("--out", args.out), ("--curve", args.curve)):
+        if path:
+            _require_file(os.path.dirname(os.path.abspath(path)), f"{flag} directory")
     file_cfg = _load_config_file(args.config)
     model_kv = _effective(args, file_cfg, MODEL_KEYS, ModelConfig().to_dict())
     train_defaults = {k: getattr(TrainConfig(), k) for k in TRAIN_KEYS}
@@ -127,6 +136,7 @@ def cmd_train(args):
 def cmd_eval(args):
     _require_file(args.corpus, "corpus file")
     _require_file(args.checkpoint, "checkpoint file")
+    _require_file(ckpt.manifest_path(args.checkpoint), "checkpoint manifest")
     tracker = ckpt.load_checkpoint(args.checkpoint)
     ontology, dialogues = data.load_corpus(args.corpus)
     ckpt.check_ontology_match(tracker, ontology)

@@ -82,9 +82,6 @@ class Ontology:
     def real_values(self, slot: str):
         return [v for v in self.slots[slot] if v not in (NONE_VALUE, DONTCARE_VALUE)]
 
-    def value_index(self, slot: str, value: str) -> int:
-        return self.slots[slot].index(value)
-
     def validate_assignment(self, slot: str, value: str):
         if slot not in self.slots:
             raise ValidationError(f"unknown slot {slot!r}")
@@ -177,9 +174,6 @@ def build_vocab(dialogues, ontology: Ontology) -> Vocabulary:
 @dataclass
 class TokenSequence:
     ids: list
-
-    def __len__(self):
-        return len(self.ids)
 
 
 def tokenize_turn(system: str, user: str, vocab: Vocabulary,

@@ -30,9 +30,6 @@ from .encoders import (
 GLOBAL = "global"
 LOCAL = "local"
 
-FULL_PREFIX = "full_prefix"
-LAST_N = "last_n"
-
 
 @dataclass
 class MaskMatrix:
@@ -139,45 +136,12 @@ def slot_context_all(params, prefix, slot_vec: np.ndarray, hier_out: Tensor,
     )
 
 
-def slot_context(params, prefix, slot_vec: np.ndarray, hier_out: Tensor,
-                 t: int, window: str, heads: int, n: Optional[int] = None) -> Tensor:
-    """Single-turn slot context: attention over hier_out rows ending at t.
-
-    `t` is 1-indexed. FULL_PREFIX admits rows 1..t; LAST_N admits rows
-    max(1, t-n)..t.
-    """
-    total = hier_out.shape[0]
-    if not 1 <= t <= total:
-        raise ad.ShapeError(f"turn {t} outside 1..{total}")
-    lo = 0 if window == FULL_PREFIX else max(0, t - 1 - n)
-    keys = hier_out[lo:t]
-    query = ad.reshape(slot_vec if isinstance(slot_vec, Tensor) else ad.constant(slot_vec),
-                       (1, -1))
-    out = multi_head_attention(params, f"{prefix}.slotatt", query, keys, heads)
-    return out[0]
-
-
 def fuse(params, global_ctx: Tensor, local_ctx: Tensor):
     """Gate-merge the two branches: fused = g * global + (1-g) * local.
 
-    Works row-wise on [T x d] (or a single [d]) context matrices. Returns
-    (fused, gate).
+    Works row-wise on [T x d] context matrices. Returns (fused, gate).
     """
-    single = global_ctx.ndim == 1
-    if single:
-        global_ctx = ad.reshape(global_ctx, (1, -1))
-        local_ctx = ad.reshape(local_ctx, (1, -1))
     both = ad.concat([global_ctx, local_ctx], axis=-1)
     gate = ad.sigmoid(ad.linear(both, params["gate.w"], params["gate.b"]))
     fused = gate * global_ctx + (1.0 - gate) * local_ctx
-    if single:
-        fused, gate = fused[0], gate[0]
     return fused, gate
-
-
-@dataclass
-class SlotContext:
-    local: Tensor
-    global_: Tensor
-    gate: Tensor
-    fused: Tensor

@@ -28,25 +28,7 @@ def distance_logits(queries: Tensor, value_matrix: np.ndarray) -> Tensor:
     """
     t, d = queries.shape
     q = ad.reshape(queries, (t, 1, d))
-    diff = q - ad.constant(value_matrix[None, :, :])
-    dist = ad.sqrt(ad.tsum(diff * diff, axis=-1))
-    return -dist
-
-
-@dataclass
-class SlotValueDistribution:
-    probs: Tensor  # [V], ontology value order
-    chosen: int
-
-    @classmethod
-    def from_query(cls, d_st: Tensor, value_matrix: np.ndarray):
-        logits = distance_logits(ad.reshape(d_st, (1, -1)), value_matrix)
-        probs = ad.softmax(logits)[0]
-        return cls(probs=probs, chosen=int(np.argmax(probs.data)))
-
-
-def slot_value_dist(d_st: Tensor, value_matrix: np.ndarray) -> SlotValueDistribution:
-    return SlotValueDistribution.from_query(d_st, value_matrix)
+    return -ad.euclidean_distance(q, ad.constant(value_matrix[None, :, :]))
 
 
 # -- recurrent state-operation decoder ------------------------------------
@@ -60,31 +42,19 @@ def init_op_decoder(params, d: int, num_ops: int, rng):
     init_linear(params, "op.out", d, num_ops, rng)
 
 
-@dataclass
-class OpDecoderState:
-    hidden: Tensor  # [d]; zero at the start of every (slot, dialogue) stream
+def op_decoder_step(params, x: Tensor, hidden: Tensor):
+    """One recurrence step on a local-context row.
 
-    @classmethod
-    def initial(cls, d: int):
-        return cls(hidden=ad.constant(np.zeros(d)))
-
-
-@dataclass
-class OpDistribution:
-    probs: Tensor  # [K] in op_order
-
-
-def op_decoder_step(params, c_loc: Tensor, state: OpDecoderState):
-    """One recurrence step: consume the local context, emit op probabilities."""
-    x = ad.reshape(c_loc, (1, -1))
-    h = ad.reshape(state.hidden, (1, -1))
+    x is [1 x d] and hidden [d] (zero at the start of every (slot,
+    dialogue) stream); returns the op logits [1 x K] and the new hidden
+    state [d].
+    """
+    h = ad.reshape(hidden, (1, -1))
     z = ad.sigmoid(x @ params["op.cell.wz"] + h @ params["op.cell.uz"] + params["op.cell.bz"])
     r = ad.sigmoid(x @ params["op.cell.wr"] + h @ params["op.cell.ur"] + params["op.cell.br"])
     cand = ad.tanh(x @ params["op.cell.wh"] + (r * h) @ params["op.cell.uh"] + params["op.cell.bh"])
     new_h = (1.0 - z) * h + z * cand
-    logits = ad.linear(new_h, params["op.out.w"], params["op.out.b"])
-    probs = ad.softmax(logits)[0]
-    return OpDistribution(probs=probs), OpDecoderState(hidden=new_h[0])
+    return ad.linear(new_h, params["op.out.w"], params["op.out.b"]), new_h[0]
 
 
 # -- losses ----------------------------------------------------------------

@@ -6,15 +6,14 @@ per-dialogue forward pass used by training, evaluation and grad checking.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from . import autodiff as ad
 from . import fusion
-from .autodiff import Tensor
 from .data import (
-    NONE_VALUE,
     Dialogue,
     Ontology,
     Vocabulary,
@@ -24,6 +23,7 @@ from .data import (
     tokenize_turn,
 )
 from .encoders import (
+    ConfigError,
     EncoderConfig,
     SlotCatalog,
     encode_catalog,
@@ -32,9 +32,9 @@ from .encoders import (
 )
 from .heads import (
     DIRECT,
-    OpDecoderState,
     decode_state,
     distance_logits,
+    init_op_decoder,
     joint_loss,
     nll_from_logits,
     op_decoder_step,
@@ -56,6 +56,10 @@ class ModelConfig:
     learned_positions: bool = False
     seed: int = 0
 
+    def __post_init__(self):
+        if self.max_turn_tokens < 3:
+            raise ConfigError(f"max_turn_tokens must be >= 3, got {self.max_turn_tokens}")
+
     def encoder_config(self) -> EncoderConfig:
         return EncoderConfig(
             d=self.d, heads=self.heads, encoder_layers=self.encoder_layers,
@@ -76,14 +80,11 @@ class ModelConfig:
 # the global branch so the mask-equivalence property is testable.
 GLOB, LOC = "glob", "loc"
 
-# Prefixes of parameters that only the operation branch consumes.
-OP_BRANCH_PREFIXES = ("op.",)
-
 
 @dataclass
 class DialogueOutput:
     sv_logits: dict      # slot -> Tensor [T x |v_s|]
-    op_probs: dict       # slot -> list over turns of Tensor [K]
+    op_logits: dict      # slot -> Tensor [T x K]; empty when ops are not run
     contexts: dict = field(default_factory=dict)  # slot -> (glob, loc, fused) [T x d]
 
 
@@ -104,7 +105,6 @@ class StateTracker:
                 fusion.init_branch(params, LOC, cfg.d, cfg.ff, cfg.heads,
                                    cfg.hier_layers, rng)
             fusion.init_gate(params, cfg.d, rng)
-            from .heads import init_op_decoder
             init_op_decoder(params, cfg.d, cfg.num_ops, rng)
         self.params = params
 
@@ -123,9 +123,6 @@ class StateTracker:
 
     def _branch_prefix(self, branch: str) -> str:
         return GLOB if self.cfg.tie_paths else branch
-
-    def trainable_params(self):
-        return self.params
 
     def zero_grads(self):
         for p in self.params.values():
@@ -168,7 +165,7 @@ class StateTracker:
             branch_word[branch] = ad.transpose(stacked, (1, 0, 2))  # J x T x d
 
         sv_logits = {}
-        op_probs = {}
+        op_logits = {}
         contexts = {}
         for j, slot in enumerate(slots):
             ctx = {}
@@ -186,72 +183,56 @@ class StateTracker:
             sv_logits[slot] = distance_logits(fused, self.catalog.value_mats[slot])
 
             if with_ops:
-                state = OpDecoderState.initial(cfg.d)
-                probs = []
+                hidden = ad.constant(np.zeros(cfg.d))
+                steps = []
                 for t in range(t_total):
-                    dist, state = op_decoder_step(self.params, ctx[LOC][t], state)
-                    probs.append(dist.probs)
-                op_probs[slot] = probs
+                    logits, hidden = op_decoder_step(self.params, ctx[LOC][t:t + 1], hidden)
+                    steps.append(logits)
+                op_logits[slot] = ad.concat(steps)
             if keep_contexts:
                 contexts[slot] = (ctx[GLOB], ctx[LOC], fused)
-        return DialogueOutput(sv_logits=sv_logits, op_probs=op_probs, contexts=contexts)
+        return DialogueOutput(sv_logits=sv_logits, op_logits=op_logits, contexts=contexts)
 
     # -- loss ------------------------------------------------------------
 
-    def gold_value_indices(self, dialogue: Dialogue, slot: str) -> np.ndarray:
-        values = self.ontology.values_of(slot)
-        return np.asarray(
-            [values.index(belief_value(t.belief, slot)) for t in dialogue.turns],
-            dtype=np.int64,
-        )
-
-    def gold_op_indices(self, dialogue: Dialogue, slot: str) -> np.ndarray:
-        order = list(op_order(self.cfg.four_class))
+    def gold_indices(self, dialogue: Dialogue):
+        """Per slot, the gold value index and the gold op index of every turn."""
+        order = op_order(self.cfg.four_class)
+        gold_v, gold_o = defaultdict(list), defaultdict(list)
         prev = {}
-        idx = []
         for turn in dialogue.turns:
             ops = derive_state_ops(prev, turn.belief, self.ontology, self.cfg.four_class)
-            idx.append(order.index(ops[slot]))
+            for slot, values in self.ontology.slots.items():
+                gold_v[slot].append(values.index(belief_value(turn.belief, slot)))
+                gold_o[slot].append(order.index(ops[slot]))
             prev = turn.belief
-        return np.asarray(idx, dtype=np.int64)
+        return gold_v, gold_o
 
     def loss(self, dialogue: Dialogue, sv_only: bool = False):
         """Joint loss over all slots and turns of one dialogue.
 
-        Returns (loss Tensor, LossReport). With sv_only the operation
-        branch is not evaluated at all.
+        Both heads are scored by nll_from_logits. Returns (loss Tensor,
+        LossReport). With sv_only the operation branch is not evaluated.
         """
         out = self.forward(dialogue, with_ops=not sv_only)
-        sv_terms = {}
-        sop_terms = {}
-        for slot in self.slot_names():
-            gold_v = self.gold_value_indices(dialogue, slot)
-            sv_terms[slot] = nll_from_logits(out.sv_logits[slot], gold_v)
-            if not sv_only:
-                gold_o = self.gold_op_indices(dialogue, slot)
-                picked = ad.stack([
-                    out.op_probs[slot][t][int(gold_o[t])]
-                    for t in range(len(dialogue.turns))
-                ])
-                sop_terms[slot] = -ad.tsum(ad.log(picked))
+        gold_v, gold_o = self.gold_indices(dialogue)
+        sv_terms = {s: nll_from_logits(out.sv_logits[s], gold_v[s]) for s in out.sv_logits}
+        sop_terms = {s: nll_from_logits(out.op_logits[s], gold_o[s]) for s in out.op_logits}
         return joint_loss(sv_terms, sop_terms)
 
     # -- inference -------------------------------------------------------
 
     def predict(self, dialogue: Dialogue, mode: str = DIRECT):
         """Predicted belief state per turn."""
-        with_ops = mode != DIRECT
         with ad.no_grad():
-            out = self.forward(dialogue, with_ops=with_ops)
-        slots = self.slot_names()
+            out = self.forward(dialogue, with_ops=mode != DIRECT)
         beliefs = []
         prev = {}
+        # empty in DIRECT mode, where decode_state reads no op
+        op_probs = {s: ad.softmax(logits).data for s, logits in out.op_logits.items()}
         for t in range(len(dialogue.turns)):
-            sv_argmax = {s: int(np.argmax(out.sv_logits[s].data[t])) for s in slots}
-            op_argmax = (
-                {s: int(np.argmax(out.op_probs[s][t].data)) for s in slots}
-                if with_ops else {s: 0 for s in slots}
-            )
+            sv_argmax = {s: int(np.argmax(logits.data[t])) for s, logits in out.sv_logits.items()}
+            op_argmax = {s: int(np.argmax(probs[t])) for s, probs in op_probs.items()}
             belief = decode_state(
                 sv_argmax, op_argmax, self.ontology.values_of, prev,
                 self.cfg.four_class, mode,

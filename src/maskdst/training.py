@@ -55,6 +55,8 @@ class TrainConfig:
             raise ValueError("learning rate must be positive")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.loss_mode not in (JOINT_MODE, SV_ONLY_MODE):
             raise ValueError(f"unknown loss mode {self.loss_mode!r}")
 

@@ -24,7 +24,7 @@ from maskdst.data import (
     generate_corpus,
     repair_inheritance,
 )
-from maskdst.heads import distance_logits, slot_value_dist
+from maskdst.heads import distance_logits
 from maskdst.model import ModelConfig, StateTracker
 from maskdst.training import (
     TrainConfig,
@@ -35,6 +35,8 @@ from maskdst.training import (
     train,
 )
 from maskdst.data import build_vocab
+
+from reference_chains import slot_value_dist
 
 
 def report(name, detail=""):

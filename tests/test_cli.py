@@ -199,6 +199,53 @@ class TestTrainEvalPipeline:
         assert '"d": 8' in echoed       # file beats default
 
 
+def assert_one_line_error(rc, capsys, message):
+    """Exit 2 with one stderr line naming the fault; main returned, so no traceback."""
+    out, err = capsys.readouterr()
+    assert rc == EXIT_VALIDATION
+    assert len(err.strip().splitlines()) == 1
+    assert message in err
+    return out
+
+
+class TestRejectedInput:
+    @pytest.mark.parametrize("config, message", [
+        ([{"d": 8}], "must hold a JSON object"),
+        ({"epoch": 1}, "unknown keys: epoch"),
+        ({"d": 8, "use_positional": False}, "unknown keys: use_positional"),
+        ({"batch_size": 0}, "batch_size must be >= 1"),
+        ({"max_turn_tokens": 2}, "max_turn_tokens must be >= 3"),
+    ], ids=["list", "unknown-key", "key-train-ignores", "batch-size-0", "max-turn-tokens-2"])
+    def test_bad_config_file(self, tmp_path, corpus_file, capsys, config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        ck = tmp_path / "model.ckpt"
+        rc = main(["train", "--corpus", corpus_file, "--out", str(ck), "--config", str(cfg)])
+        out = assert_one_line_error(rc, capsys, message)
+        assert "trained" not in out and not ck.exists()
+
+    def test_batch_size_flag_zero(self, tmp_path, corpus_file, capsys):
+        rc = main(["train", "--corpus", corpus_file, "--out", str(tmp_path / "m.ckpt"),
+                   "--batch-size", "0"])
+        assert_one_line_error(rc, capsys, "batch_size must be >= 1")
+
+    @pytest.mark.parametrize("flag", ["--out", "--curve"])
+    def test_train_output_into_missing_directory(self, tmp_path, corpus_file, capsys, flag):
+        paths = {"--out": str(tmp_path / "m.ckpt"), "--curve": str(tmp_path / "c.csv")}
+        paths[flag] = str(tmp_path / "missing" / "file")
+        argv = ["train", "--corpus", corpus_file, "--epochs", "1", "--d", "8",
+                "--heads", "2", "--ff", "16"]
+        rc = main(argv + [arg for item in paths.items() for arg in item])
+        out = assert_one_line_error(rc, capsys, f"{flag} directory not found")
+        assert "effective config" not in out  # rejected before training
+
+    def test_eval_without_manifest(self, tmp_path, corpus_file, capsys):
+        ck = tmp_path / "model.ckpt"
+        ck.write_bytes(b"MDSTCKP1")
+        rc = main(["eval", "--corpus", corpus_file, "--checkpoint", str(ck)])
+        assert_one_line_error(rc, capsys, "checkpoint manifest not found")
+
+
 class TestCheckpointRoundTrip:
     def test_save_load_identity(self, tmp_path):
         onto = demo_ontology()

@@ -3,7 +3,9 @@
 ``ad.attention``, ``ad.layer_norm`` and ``ad.linear`` each repeat the numpy
 operations of a chain of primitive nodes (kept in ``reference_chains``), so
 every value and every gradient must be bit-identical to that chain, in each
-op alone and in the whole tracker.
+op alone and in the whole tracker. Likewise the op head, which concatenates
+its per-turn logits and scores them with ``nll_from_logits``, must match the
+per-turn head it replaced (``reference_chains.PerTurnOpTracker``).
 """
 
 import itertools
@@ -173,9 +175,9 @@ def reference_chains(monkeypatch):
     return install
 
 
-def loss_and_grads(tracker, dialogue):
+def loss_and_grads(tracker, dialogue, sv_only=False):
     tracker.zero_grads()
-    loss, report = tracker.loss(dialogue)
+    loss, report = tracker.loss(dialogue, sv_only=sv_only)
     ad.backward(loss)
     grads = {k: p.grad for k, p in tracker.params.items()}
     return loss.data, report, grads
@@ -216,6 +218,30 @@ def test_tracker_loss_and_grads_bit_identical_to_chains(case, reference_chains):
             if g is not None:
                 assert np.array_equal(g, ref_grads[name]), name
     assert [tracker.predict(d, "op_gated") for d in corpus] == fused_beliefs
+
+
+@pytest.mark.parametrize("sv_only", [False, True], ids=["joint", "sv_only"])
+@pytest.mark.parametrize("case", MODEL_CASES,
+                         ids=lambda c: "-".join(f"{k}={v}" for k, v in c.items()))
+def test_tracker_bit_identical_to_per_turn_op_head(case, sv_only):
+    onto = demo_ontology()
+    corpus = generate_corpus(onto, 3, seed=11, shape=GenShape(min_turns=3, max_turns=5))
+    vocab = build_vocab(corpus, onto)
+    cfg = ModelConfig(d=D, heads=2, encoder_layers=1, ff=16, hier_layers=1, seed=5, **case)
+    tracker = StateTracker(cfg, vocab, onto)
+    oracle = ref.PerTurnOpTracker(cfg, vocab, onto)
+    for d in corpus:
+        loss, report, grads = loss_and_grads(tracker, d, sv_only)
+        ref_loss, ref_report, ref_grads = loss_and_grads(oracle, d, sv_only)
+        assert np.array_equal(loss, ref_loss)
+        assert report == ref_report
+        assert grads.keys() == ref_grads.keys()
+        for name, g in grads.items():
+            assert (g is None) == (ref_grads[name] is None), name
+            if g is not None:
+                assert np.array_equal(g, ref_grads[name]), name
+        for mode in ("direct", "op_gated"):
+            assert tracker.predict(d, mode) == oracle.predict(d, mode)
 
 
 def test_default_config_training_step_bit_identical_to_chains(reference_chains):

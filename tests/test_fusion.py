@@ -6,19 +6,17 @@ from maskdst import fusion
 from maskdst.data import Dialogue, Turn, Vocabulary, demo_ontology, generate_corpus, build_vocab
 from maskdst.encoders import ConfigError, TurnEncoding, init_mha, positional_matrix
 from maskdst.fusion import (
-    FULL_PREFIX,
     GLOBAL,
-    LAST_N,
     LOCAL,
     build_mask,
     format_mask,
     fuse,
     masked_hier_transform,
-    slot_context,
     slot_context_all,
     word_attention,
 )
 from maskdst.model import ModelConfig, StateTracker
+from reference_chains import FULL_PREFIX, LAST_N, slot_context
 
 NEG = ad.NEG_INF
 
@@ -260,14 +258,14 @@ class TestFuse:
     def test_equal_inputs_fixed_point(self):
         rng = np.random.default_rng(10)
         d = 6
-        x = rng.normal(size=d)
+        x = rng.normal(size=(1, d))
         params = self.gate_params(d, rng.normal(size=(2 * d, d)), rng.normal(size=d))
         fused, _ = fuse(params, ad.constant(x), ad.constant(x))
         assert np.allclose(fused.data, x, atol=1e-12)
 
     def test_zero_gate_params_give_midpoint(self):
         d = 4
-        a, b = np.ones(d), np.zeros(d)
+        a, b = np.ones((1, d)), np.zeros((1, d))
         fused, gate = fuse(self.gate_params(d), ad.constant(a), ad.constant(b))
         assert np.allclose(gate.data, 0.5, atol=1e-15)
         assert np.allclose(fused.data, 0.5, atol=1e-15)
@@ -275,7 +273,7 @@ class TestFuse:
     def test_saturated_gate_selects_global(self):
         d = 4
         rng = np.random.default_rng(11)
-        a, b = rng.normal(size=d), rng.normal(size=d)
+        a, b = rng.normal(size=(1, d)), rng.normal(size=(1, d))
         params = self.gate_params(d, b=np.full(d, 20.0))
         fused, _ = fuse(params, ad.constant(a), ad.constant(b))
         assert np.abs(fused.data - a).max() < 1e-8

@@ -6,15 +6,14 @@ from maskdst.data import NONE_VALUE, StateOp
 from maskdst.heads import (
     DIRECT,
     OP_GATED,
-    OpDecoderState,
     decode_state,
     distance_logits,
     init_op_decoder,
     joint_loss,
     nll_from_logits,
     op_decoder_step,
-    slot_value_dist,
 )
+from reference_chains import slot_value_dist
 
 
 class TestSlotValueDist:
@@ -89,44 +88,43 @@ class TestOpDecoder:
     def test_zero_everything_gives_uniform(self):
         d, k = 6, 3
         params = zeroed_decoder_params(d, k)
-        dist, state = op_decoder_step(params, ad.constant(np.zeros(d)),
-                                      OpDecoderState.initial(d))
-        assert np.allclose(state.hidden.data, 0.0, atol=1e-15)
-        assert np.allclose(dist.probs.data, 1 / 3, atol=1e-15)
+        logits, hidden = op_decoder_step(params, ad.constant(np.zeros((1, d))),
+                                         ad.constant(np.zeros(d)))
+        assert np.allclose(hidden.data, 0.0, atol=1e-15)
+        assert np.allclose(ad.softmax(logits).data, 1 / 3, atol=1e-15)
 
     def test_state_dependence(self):
         d, k = 6, 3
         params = random_decoder_params(d, k, seed=3)
         rng = np.random.default_rng(4)
-        x = ad.constant(rng.normal(size=d))
-        h1 = OpDecoderState(hidden=ad.constant(np.zeros(d)))
-        h2 = OpDecoderState(hidden=ad.constant(rng.normal(size=d)))
-        p1, _ = op_decoder_step(params, x, h1)
-        p2, _ = op_decoder_step(params, x, h2)
-        assert np.abs(p1.probs.data - p2.probs.data).max() > 0
+        x = ad.constant(rng.normal(size=(1, d)))
+        h1 = ad.constant(np.zeros(d))
+        h2 = ad.constant(rng.normal(size=d))
+        l1, _ = op_decoder_step(params, x, h1)
+        l2, _ = op_decoder_step(params, x, h2)
+        assert np.abs(ad.softmax(l1).data - ad.softmax(l2).data).max() > 0
 
     def test_markov_replay_bitwise(self):
         d, k = 6, 3
         params = random_decoder_params(d, k, seed=5)
         rng = np.random.default_rng(6)
-        x = ad.constant(rng.normal(size=d))
-        h = OpDecoderState(hidden=ad.constant(rng.normal(size=d)))
-        a_probs, a_state = op_decoder_step(params, x, h)
-        b_probs, b_state = op_decoder_step(params, x, h)
-        assert np.array_equal(a_probs.probs.data, b_probs.probs.data)
-        assert np.array_equal(a_state.hidden.data, b_state.hidden.data)
+        x = ad.constant(rng.normal(size=(1, d)))
+        h = ad.constant(rng.normal(size=d))
+        a_logits, a_hidden = op_decoder_step(params, x, h)
+        b_logits, b_hidden = op_decoder_step(params, x, h)
+        assert np.array_equal(a_logits.data, b_logits.data)
+        assert np.array_equal(a_hidden.data, b_hidden.data)
 
     def test_readout_gradient_matches_finite_differences(self):
         d, k = 5, 3
         params = random_decoder_params(d, k, seed=7)
         rng = np.random.default_rng(8)
-        x = rng.normal(size=d)
+        x = rng.normal(size=(1, d))
         gold = 2
 
         def loss_tensor():
-            dist, _ = op_decoder_step(params, ad.constant(x),
-                                      OpDecoderState.initial(d))
-            return -ad.log(dist.probs[gold])
+            logits, _ = op_decoder_step(params, ad.constant(x), ad.constant(np.zeros(d)))
+            return nll_from_logits(logits, np.array([gold]))
 
         ad.backward(loss_tensor())
         w = params["op.out.w"]

@@ -3,6 +3,7 @@ import pytest
 
 from maskdst import autodiff as ad
 from maskdst.data import demo_ontology, generate_corpus, build_vocab
+from maskdst.encoders import ConfigError
 from maskdst.model import ModelConfig, StateTracker
 from maskdst.training import (
     Adam,
@@ -267,3 +268,14 @@ class TestTrainConfigValidation:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             TrainConfig(loss_mode="BOGUS")
+
+    def test_bad_batch_size(self):
+        with pytest.raises(ValueError, match="batch_size"):
+            TrainConfig(batch_size=0)
+
+
+class TestModelConfigValidation:
+    def test_turn_frame_needs_three_tokens(self):
+        with pytest.raises(ConfigError, match="max_turn_tokens"):
+            ModelConfig(max_turn_tokens=2)
+        assert ModelConfig(max_turn_tokens=3).max_turn_tokens == 3
