@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
 import struct
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -19,6 +22,8 @@ from .data import Ontology, ValidationError, Vocabulary
 from .model import ModelConfig, StateTracker
 
 MAGIC = b"MDSTCKP1"
+# Settings that older manifests record, with the one value the model implements.
+RETIRED_CONFIG = {"use_positional": True, "learned_positions": False}
 
 
 def ontology_hash(ontology: Ontology) -> str:
@@ -51,7 +56,7 @@ def save_checkpoint(tracker: StateTracker, path):
         "tensors": [
             {"name": n, "role": r, "shape": list(d.shape)} for n, r, d in tensors
         ],
-        "config": tracker.cfg.to_dict(),
+        "config": asdict(tracker.cfg),
         "vocab": tracker.vocab.tokens,
         "ontology": tracker.ontology.to_dict(),
         "ontology_hash": ontology_hash(tracker.ontology),
@@ -61,33 +66,52 @@ def save_checkpoint(tracker: StateTracker, path):
         fh.write("\n")
 
 
+def _read(fh, n, path):
+    """The next n bytes of the checkpoint; a ValidationError if fewer remain."""
+    if fh.tell() + n > os.fstat(fh.fileno()).st_size:
+        raise ValidationError(f"checkpoint {path} is truncated")
+    return fh.read(n)
+
+
 def load_checkpoint(path) -> StateTracker:
     with open(manifest_path(path), encoding="utf-8") as fh:
         manifest = json.load(fh)
-    roles = {t["name"]: t["role"] for t in manifest["tensors"]}
+    entries = {t["name"]: t for t in manifest["tensors"]}
 
     with open(path, "rb") as fh:
         if fh.read(len(MAGIC)) != MAGIC:
             raise ValidationError(f"{path} is not a checkpoint file")
-        (count,) = struct.unpack("<I", fh.read(4))
+        (count,) = struct.unpack("<I", _read(fh, 4, path))
+        if count != len(entries):
+            raise ValidationError(f"checkpoint {path}: tensor count disagrees with manifest")
         params = {}
         frozen = {}
         for _ in range(count):
-            (nlen,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(nlen).decode("utf-8")
-            (ndim,) = struct.unpack("<I", fh.read(4))
-            shape = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim))
-            n_vals = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(8 * n_vals), dtype="<f8").reshape(shape).copy()
-            role = roles.get(name)
-            if role == "trainable":
+            (nlen,) = struct.unpack("<I", _read(fh, 4, path))
+            name = _read(fh, nlen, path).decode("utf-8", errors="replace")
+            (ndim,) = struct.unpack("<I", _read(fh, 4, path))
+            shape = struct.unpack(f"<{ndim}Q", _read(fh, 8 * ndim, path))
+            entry = entries.get(name)
+            if entry is None or entry["role"] not in ("trainable", "frozen"):
+                raise ValidationError(f"checkpoint {path}: {name!r} missing from manifest")
+            if list(shape) != entry["shape"]:
+                raise ValidationError(f"checkpoint {path}: {name!r} shape disagrees with manifest")
+            raw = _read(fh, 8 * math.prod(shape), path)
+            data = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            if entry["role"] == "trainable":
                 params[name] = ad.parameter(data)
-            elif role == "frozen":
-                frozen[name] = ad.constant(data)
             else:
-                raise ValidationError(f"checkpoint tensor {name!r} missing from manifest")
+                frozen[name] = ad.constant(data)
+        if fh.read(1):
+            raise ValidationError(f"checkpoint {path} has bytes after its last tensor")
 
-    cfg = ModelConfig(**manifest["config"])
+    config = {k: v for k, v in manifest["config"].items()
+              if k not in RETIRED_CONFIG or v is not RETIRED_CONFIG[k]}
+    unknown = sorted(set(config) - {f.name for f in fields(ModelConfig)})
+    if unknown:
+        raise ValidationError(f"{manifest_path(path)}: unsupported config "
+                              + ", ".join(f"{k}={config[k]!r}" for k in unknown))
+    cfg = ModelConfig(**config)
     vocab = Vocabulary(manifest["vocab"])
     ontology = Ontology(manifest["ontology"])
     stored_hash = manifest["ontology_hash"]

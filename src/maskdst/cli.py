@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict, fields
 
 from . import checkpoint as ckpt
 from . import data, fusion, training
@@ -25,13 +26,6 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
 
-MODEL_KEYS = (
-    "d", "heads", "encoder_layers", "ff", "max_turn_tokens", "hier_layers",
-    "n_history", "four_class", "tie_paths", "seed",
-)
-TRAIN_KEYS = ("epochs", "batch_size", "lr", "clip_norm", "seed", "loss_mode")
-
-
 def _load_config_file(path):
     if path is None:
         return {}
@@ -41,16 +35,16 @@ def _load_config_file(path):
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValidationError(f"config file {path} must hold a JSON object")
-    unknown = sorted(set(cfg) - set(MODEL_KEYS) - set(TRAIN_KEYS))
+    unknown = sorted(set(cfg) - {f.name for f in fields(ModelConfig) + fields(TrainConfig)})
     if unknown:
         raise ValidationError(f"config file {path} has unknown keys: {', '.join(unknown)}")
     return cfg
 
 
-def _effective(args, file_cfg, keys, defaults):
+def _effective(args, file_cfg, defaults):
     """Merge precedence: flags > config file > defaults."""
     out = dict(defaults)
-    for k in keys:
+    for k in defaults:
         if k in file_cfg:
             out[k] = file_cfg[k]
         flag = getattr(args, k, None)
@@ -62,6 +56,15 @@ def _effective(args, file_cfg, keys, defaults):
 def _require_file(path, what):
     if not os.path.exists(path):
         raise ValidationError(f"{what} not found: {path}")
+
+
+def _check_output_dirs(args):
+    """Reject an output path whose directory is missing or read-only, before any work."""
+    for flag in ("out", "report", "curve"):
+        path = getattr(args, flag, None)
+        directory = os.path.dirname(os.path.abspath(path or "."))
+        if path and not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
+            raise ValidationError(f"--{flag} directory not found or not writable: {directory}")
 
 
 # -- subcommand implementations ------------------------------------------
@@ -111,13 +114,9 @@ def cmd_repair(args):
 
 def cmd_train(args):
     _require_file(args.corpus, "corpus file")
-    for flag, path in (("--out", args.out), ("--curve", args.curve)):
-        if path:
-            _require_file(os.path.dirname(os.path.abspath(path)), f"{flag} directory")
     file_cfg = _load_config_file(args.config)
-    model_kv = _effective(args, file_cfg, MODEL_KEYS, ModelConfig().to_dict())
-    train_defaults = {k: getattr(TrainConfig(), k) for k in TRAIN_KEYS}
-    train_kv = _effective(args, file_cfg, TRAIN_KEYS, train_defaults)
+    model_kv = _effective(args, file_cfg, asdict(ModelConfig()))
+    train_kv = _effective(args, file_cfg, asdict(TrainConfig()))
     print("effective config:", json.dumps({**model_kv, **train_kv}, sort_keys=True))
 
     ontology, dialogues = data.load_corpus(args.corpus)
@@ -174,7 +173,10 @@ def cmd_ablation(args):
     ontology, dialogues = data.load_corpus(args.corpus)
     model_cfg = ModelConfig()
     train_cfg = TrainConfig(epochs=args.epochs)
-    seeds = [int(s) for s in args.seeds.split(",")]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")]
+    except ValueError:
+        raise ValidationError(f"--seeds must be comma-separated integers, got {args.seeds!r}")
     rows, summary = training.run_ablation(ontology, dialogues, model_cfg, train_cfg, seeds)
     training.write_ablation_csv(rows, args.out)
     for variant, stats in summary.items():
@@ -264,8 +266,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_output_dirs(args)
         return args.func(args)
-    except (ValidationError, ConfigError, ValueError, json.JSONDecodeError) as e:
+    except (ValidationError, ConfigError, json.JSONDecodeError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except training.NumericalError as e:

@@ -314,14 +314,16 @@ def repair_inheritance(dialogue: Dialogue, ontology: Ontology,
 
 # -- synthetic corpus ----------------------------------------------------
 
+MENTION_PROB = 0.55
+UPDATE_PROB = 0.15
+DONTCARE_PROB = 0.08
+DISTRACTOR_PROB = 0.35
+
+
 @dataclass
 class GenShape:
     min_turns: int = 2
     max_turns: int = 6
-    mention_prob: float = 0.55
-    update_prob: float = 0.15
-    dontcare_prob: float = 0.08
-    distractor_prob: float = 0.35
 
 
 _USER_TEMPLATES = (
@@ -363,12 +365,12 @@ def generate_dialogue(ontology: Ontology, rng: random.Random,
         for slot in slots:
             cur = belief_value(belief, slot)
             if cur == NONE_VALUE:
-                if rng.random() < shape.mention_prob:
-                    if rng.random() < shape.dontcare_prob:
+                if rng.random() < MENTION_PROB:
+                    if rng.random() < DONTCARE_PROB:
                         changes.append((slot, DONTCARE_VALUE))
                     else:
                         changes.append((slot, rng.choice(ontology.real_values(slot))))
-            elif cur != DONTCARE_VALUE and rng.random() < shape.update_prob:
+            elif cur != DONTCARE_VALUE and rng.random() < UPDATE_PROB:
                 alternatives = [v for v in ontology.real_values(slot) if v != cur]
                 if alternatives:
                     changes.append((slot, rng.choice(alternatives)))
@@ -391,7 +393,7 @@ def generate_dialogue(ontology: Ontology, rng: random.Random,
 
         if t == 0:
             system = ""
-        elif rng.random() < shape.distractor_prob:
+        elif rng.random() < DISTRACTOR_PROB:
             slot = rng.choice(slots)
             d1, d2 = rng.sample(ontology.real_values(slot), 2)
             system = rng.choice(_SYSTEM_TEMPLATES).format(
@@ -409,6 +411,11 @@ def generate_corpus(ontology: Ontology, count: int, seed: int,
     if count < 1:
         raise ValidationError("count must be >= 1")
     shape = shape or GenShape()
+    if not 1 <= shape.min_turns <= shape.max_turns:
+        raise ValidationError(f"need 1 <= min_turns <= max_turns, got {shape}")
+    for slot in ontology.slot_names:
+        if len(ontology.real_values(slot)) < 2:
+            raise ValidationError(f"slot {slot!r} needs two real values to generate dialogues")
     rng = random.Random(seed)
     return [
         generate_dialogue(ontology, rng, shape, f"dlg-{seed}-{i:04d}")

@@ -4,6 +4,7 @@ and sinusoidal positional encoding.
 The turn encoder is a small from-scratch transformer; the catalog encoder
 is a separately-initialized copy of the same architecture whose weights
 never receive gradients, giving fixed metric targets for the distance head.
+Both take their sizes from `cfg`, the tracker's `ModelConfig`.
 """
 
 from __future__ import annotations
@@ -20,22 +21,7 @@ from .data import Ontology, TokenSequence, Vocabulary, tokenize_catalog_entry
 
 
 class ConfigError(ValueError):
-    pass
-
-
-@dataclass
-class EncoderConfig:
-    d: int = 32
-    heads: int = 4
-    encoder_layers: int = 2
-    ff: int = 64
-    max_turn_tokens: int = 64
-    use_positional: bool = True
-    learned_positions: bool = False
-
-    def __post_init__(self):
-        if self.d % self.heads != 0:
-            raise ConfigError(f"model dim {self.d} not divisible by {self.heads} heads")
+    """A model, training or mask setting is out of range."""
 
 
 # -- positional encoding -------------------------------------------------
@@ -64,10 +50,9 @@ def _positional_rows(positions: tuple, d: int) -> np.ndarray:
 
 # -- parameter initialization -------------------------------------------
 
-def init_linear(params, name, fan_in, fan_out, rng, bias=True):
+def init_linear(params, name, fan_in, fan_out, rng):
     params[f"{name}.w"] = ad.parameter(rng.normal(0.0, fan_in ** -0.5, (fan_in, fan_out)))
-    if bias:
-        params[f"{name}.b"] = ad.parameter(np.zeros(fan_out))
+    params[f"{name}.b"] = ad.parameter(np.zeros(fan_out))
 
 
 def init_mha(params, prefix, d, rng):
@@ -85,12 +70,8 @@ def init_block(params, prefix, d, ff, rng):
     params[f"{prefix}.ln2.b"] = ad.parameter(np.zeros(d))
 
 
-def init_encoder(params, prefix, cfg: EncoderConfig, vocab_size: int, rng):
+def init_encoder(params, prefix, cfg, vocab_size: int, rng):
     params[f"{prefix}.embed"] = ad.parameter(rng.normal(0.0, 1.0, (vocab_size, cfg.d)))
-    if cfg.learned_positions:
-        params[f"{prefix}.pos"] = ad.parameter(
-            rng.normal(0.0, 1.0, (cfg.max_turn_tokens, cfg.d))
-        )
     for layer in range(cfg.encoder_layers):
         init_block(params, f"{prefix}.l{layer}", cfg.d, cfg.ff, rng)
 
@@ -125,15 +106,11 @@ class TurnEncoding:
     pad_mask: np.ndarray  # [L] over {0, -inf}, -inf at [PAD] keys
 
 
-def encode_turn(tokens: TokenSequence, params, prefix, cfg: EncoderConfig,
+def encode_turn(tokens: TokenSequence, params, prefix, cfg,
                 vocab: Vocabulary) -> TurnEncoding:
     ids = np.asarray(tokens.ids, dtype=np.int64)
     x = ad.embedding(params[f"{prefix}.embed"], ids)
-    if cfg.use_positional:
-        if cfg.learned_positions:
-            x = x + ad.embedding(params[f"{prefix}.pos"], np.arange(len(ids)))
-        else:
-            x = x + ad.constant(positional_matrix(range(len(ids)), cfg.d))
+    x = x + ad.constant(positional_matrix(range(len(ids)), cfg.d))
     pad_mask = np.where(ids == vocab.pad_id, ad.NEG_INF, 0.0)
     for layer in range(cfg.encoder_layers):
         x = encoder_block(params, f"{prefix}.l{layer}", x, cfg.heads, pad_mask)
@@ -148,7 +125,7 @@ class SlotCatalog:
     value_mats: dict   # slot -> np.ndarray [|v_s| x d], rows in ontology order
 
 
-def encode_catalog(ontology: Ontology, frozen_params, prefix, cfg: EncoderConfig,
+def encode_catalog(ontology: Ontology, frozen_params, prefix, cfg,
                    vocab: Vocabulary) -> SlotCatalog:
     """Encode every slot name and candidate value with the frozen encoder.
 

@@ -7,7 +7,7 @@ per-dialogue forward pass used by training, evaluation and grad checking.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .data import (
 )
 from .encoders import (
     ConfigError,
-    EncoderConfig,
     SlotCatalog,
     encode_catalog,
     encode_turn,
@@ -52,24 +51,13 @@ class ModelConfig:
     n_history: int = 1
     four_class: bool = False
     tie_paths: bool = False
-    use_positional: bool = True
-    learned_positions: bool = False
     seed: int = 0
 
     def __post_init__(self):
+        if self.d % self.heads != 0:
+            raise ConfigError(f"model dim {self.d} not divisible by {self.heads} heads")
         if self.max_turn_tokens < 3:
             raise ConfigError(f"max_turn_tokens must be >= 3, got {self.max_turn_tokens}")
-
-    def encoder_config(self) -> EncoderConfig:
-        return EncoderConfig(
-            d=self.d, heads=self.heads, encoder_layers=self.encoder_layers,
-            ff=self.ff, max_turn_tokens=self.max_turn_tokens,
-            use_positional=self.use_positional,
-            learned_positions=self.learned_positions,
-        )
-
-    def to_dict(self):
-        return asdict(self)
 
     @property
     def num_ops(self):
@@ -94,11 +82,10 @@ class StateTracker:
         self.cfg = cfg
         self.vocab = vocab
         self.ontology = ontology
-        enc_cfg = cfg.encoder_config()
         rng = np.random.default_rng(cfg.seed)
         if params is None:
             params = {}
-            init_encoder(params, "turn", enc_cfg, len(vocab), rng)
+            init_encoder(params, "turn", cfg, len(vocab), rng)
             fusion.init_branch(params, GLOB, cfg.d, cfg.ff, cfg.heads,
                                cfg.hier_layers, rng)
             if not cfg.tie_paths:
@@ -111,12 +98,12 @@ class StateTracker:
         if frozen_params is None:
             frozen_rng = np.random.default_rng(cfg.seed + 104729)
             frozen_params = {}
-            init_encoder(frozen_params, "frozen", enc_cfg, len(vocab), frozen_rng)
+            init_encoder(frozen_params, "frozen", cfg, len(vocab), frozen_rng)
         for p in frozen_params.values():
             p.requires_grad = False
         self.frozen_params = frozen_params
         self.catalog: SlotCatalog = encode_catalog(
-            ontology, frozen_params, "frozen", enc_cfg, vocab
+            ontology, frozen_params, "frozen", cfg, vocab
         )
 
     # -- helpers ---------------------------------------------------------
@@ -136,7 +123,6 @@ class StateTracker:
     def forward(self, dialogue: Dialogue, keep_contexts: bool = False,
                 with_ops: bool = True) -> DialogueOutput:
         cfg = self.cfg
-        enc_cfg = cfg.encoder_config()
         slots = self.slot_names()
         turns = dialogue.turns
         t_total = len(turns)
@@ -144,7 +130,7 @@ class StateTracker:
         encodings = [
             encode_turn(
                 tokenize_turn(t.system, t.user, self.vocab, cfg.max_turn_tokens),
-                self.params, "turn", enc_cfg, self.vocab,
+                self.params, "turn", cfg, self.vocab,
             )
             for t in turns
         ]

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import math
 import random
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
@@ -20,13 +20,14 @@ from .data import (
     Dialogue,
     GenShape,
     Ontology,
+    ValidationError,
     Vocabulary,
     belief_value,
     build_vocab,
     generate_corpus,
 )
 from .heads import DIRECT
-from .model import ModelConfig, StateTracker
+from .model import ConfigError, ModelConfig, StateTracker
 
 JOINT_MODE = "JOINT"
 SV_ONLY_MODE = "SV_ONLY"
@@ -41,24 +42,19 @@ class TrainConfig:
     epochs: int = 40
     batch_size: int = 8
     lr: float = 3e-3
-    betas: tuple = (0.9, 0.999)
-    eps: float = 1e-8
     clip_norm: float = 1.0
     seed: int = 0
     loss_mode: str = JOINT_MODE
-    # optional early stop on training joint accuracy, checked every few epochs
-    early_stop_joint: float = None
-    early_stop_every: int = 5
 
     def __post_init__(self):
         if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
+            raise ConfigError("learning rate must be positive")
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+            raise ConfigError("epochs must be >= 1")
         if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.loss_mode not in (JOINT_MODE, SV_ONLY_MODE):
-            raise ValueError(f"unknown loss mode {self.loss_mode!r}")
+            raise ConfigError(f"unknown loss mode {self.loss_mode!r}")
 
 
 # -- optimizer -----------------------------------------------------------
@@ -180,11 +176,10 @@ def train(ontology: Ontology, dialogues, model_cfg: ModelConfig,
     l_sop and l_joint.
     """
     if not dialogues:
-        raise ValueError("training corpus is empty")
+        raise ValidationError("training corpus is empty")
     vocab = vocab or build_vocab(dialogues, ontology)
     tracker = StateTracker(model_cfg, vocab, ontology)
-    opt = Adam(tracker.params, train_cfg.lr, train_cfg.betas, train_cfg.eps,
-               train_cfg.clip_norm)
+    opt = Adam(tracker.params, train_cfg.lr, clip_norm=train_cfg.clip_norm)
     order_rng = random.Random(train_cfg.seed)
     sv_only = train_cfg.loss_mode == SV_ONLY_MODE
 
@@ -215,11 +210,6 @@ def train(ontology: Ontology, dialogues, model_cfg: ModelConfig,
             "l_sop": epoch_sop / n,
             "l_joint": (epoch_sv + epoch_sop) / n,
         })
-        if (train_cfg.early_stop_joint is not None
-                and epoch % train_cfg.early_stop_every == 0):
-            acc = evaluate(tracker, dialogues).joint_accuracy
-            if acc >= train_cfg.early_stop_joint:
-                break
     return tracker, curve
 
 
@@ -241,7 +231,7 @@ def run_ablation(ontology: Ontology, dialogues, model_cfg: ModelConfig,
     (JOINT - SV_ONLY).
     """
     if len(seeds) < 2:
-        raise ValueError("ablation needs at least 2 seeds")
+        raise ConfigError("ablation needs at least 2 seeds")
     n_dev = max(1, int(len(dialogues) * dev_fraction))
     train_set, dev_set = dialogues[:-n_dev], dialogues[-n_dev:]
     rows = []
@@ -249,9 +239,8 @@ def run_ablation(ontology: Ontology, dialogues, model_cfg: ModelConfig,
     for seed in seeds:
         accs = {}
         for variant in (JOINT_MODE, SV_ONLY_MODE):
-            mcfg = ModelConfig(**{**model_cfg.to_dict(), "seed": seed})
-            tcfg = TrainConfig(**{**asdict(train_cfg), "seed": seed,
-                                  "loss_mode": variant})
+            mcfg = replace(model_cfg, seed=seed)
+            tcfg = replace(train_cfg, seed=seed, loss_mode=variant)
             tracker, _ = train(ontology, train_set, mcfg, tcfg)
             acc = evaluate(tracker, dev_set).joint_accuracy
             rows.append({"variant": variant, "seed": seed, "joint_accuracy": acc})

@@ -153,7 +153,6 @@ class PerTurnOpTracker(StateTracker):
     def forward(self, dialogue: Dialogue, keep_contexts: bool = False,
                 with_ops: bool = True) -> PerTurnOutput:
         cfg = self.cfg
-        enc_cfg = cfg.encoder_config()
         slots = self.slot_names()
         turns = dialogue.turns
         t_total = len(turns)
@@ -161,7 +160,7 @@ class PerTurnOpTracker(StateTracker):
         encodings = [
             encode_turn(
                 tokenize_turn(t.system, t.user, self.vocab, cfg.max_turn_tokens),
-                self.params, "turn", enc_cfg, self.vocab,
+                self.params, "turn", cfg, self.vocab,
             )
             for t in turns
         ]

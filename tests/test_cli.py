@@ -1,10 +1,11 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from maskdst import checkpoint as ckpt
-from maskdst import data
+from maskdst import data, training
 from maskdst.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from maskdst.data import demo_ontology, generate_corpus, load_corpus, save_corpus
 from maskdst.model import ModelConfig, StateTracker
@@ -23,6 +24,17 @@ def corpus_file(tmp_path, ontology_file):
     assert main(["gen-data", "--ontology", ontology_file, "--count", "8",
                  "--seed", "1", "--out", str(out)]) == EXIT_OK
     return str(out)
+
+
+@pytest.fixture
+def checkpoint_file(tmp_path, corpus_file):
+    """An untrained d=8 tracker for the corpus, saved as a checkpoint."""
+    ontology, dialogues = load_corpus(corpus_file)
+    tracker = StateTracker(ModelConfig(d=8, heads=2, ff=16),
+                           data.build_vocab(dialogues, ontology), ontology)
+    path = tmp_path / "model.ckpt"
+    ckpt.save_checkpoint(tracker, path)
+    return str(path)
 
 
 class TestGenData:
@@ -245,6 +257,88 @@ class TestRejectedInput:
         rc = main(["eval", "--corpus", corpus_file, "--checkpoint", str(ck)])
         assert_one_line_error(rc, capsys, "checkpoint manifest not found")
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["gen-data", "--ontology", "ONTOLOGY", "--count", "1", "--out", "BAD"], "--out"),
+        (["derive-ops", "--in", "CORPUS", "--out", "BAD"], "--out"),
+        (["repair", "--in", "CORPUS", "--out", "BAD", "--report", "OK"], "--out"),
+        (["repair", "--in", "CORPUS", "--out", "OK", "--report", "BAD"], "--report"),
+        (["eval", "--corpus", "CORPUS", "--checkpoint", "CKPT", "--out", "BAD"], "--out"),
+        (["ablation", "--corpus", "CORPUS", "--seeds", "0,1", "--epochs", "1", "--out", "BAD"],
+         "--out"),
+    ], ids=["gen-data", "derive-ops", "repair-out", "repair-report", "eval", "ablation"])
+    def test_output_into_missing_directory(self, tmp_path, ontology_file, corpus_file,
+                                           checkpoint_file, capsys, argv, flag):
+        ok = tmp_path / "ok.json"
+        paths = {"ONTOLOGY": ontology_file, "CORPUS": corpus_file, "CKPT": checkpoint_file,
+                 "OK": str(ok), "BAD": str(tmp_path / "missing" / "file")}
+        rc = main([paths.get(arg, arg) for arg in argv])
+        out = assert_one_line_error(rc, capsys, f"{flag} directory not found")
+        assert out == "" and not ok.exists()  # rejected before any work
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda ck, man: ck.write_bytes(ck.read_bytes()[:100]), "is truncated"),
+        (lambda ck, man: ck.write_bytes(ck.read_bytes() + b"\0"), "bytes after its last tensor"),
+        (lambda ck, man: man["tensors"].pop(), "tensor count disagrees with manifest"),
+        (lambda ck, man: man["tensors"][0]["shape"].append(1), "shape disagrees with manifest"),
+        (lambda ck, man: man["config"].update(bogus=1), "unsupported config bogus=1"),
+        (lambda ck, man: man["config"].update(learned_positions=True),
+         "unsupported config learned_positions=True"),
+        (lambda ck, man: man["config"].update(use_positional=False),
+         "unsupported config use_positional=False"),
+    ], ids=["truncated", "trailing-bytes", "count", "shape", "unknown-key",
+            "learned-positions", "no-positions"])
+    def test_eval_corrupt_checkpoint(self, corpus_file, checkpoint_file, capsys,
+                                     corrupt, message):
+        ck = Path(checkpoint_file)
+        man_path = Path(ckpt.manifest_path(ck))
+        manifest = json.loads(man_path.read_text())
+        corrupt(ck, manifest)
+        man_path.write_text(json.dumps(manifest))
+        rc = main(["eval", "--corpus", corpus_file, "--checkpoint", str(ck)])
+        out = assert_one_line_error(rc, capsys, message)
+        assert out == ""
+
+    @pytest.mark.parametrize("slots, extra, message", [
+        ({"food": ["none", "dontcare"]}, [], "slot 'food' needs two real values"),
+        ({"food": ["none", "dontcare", "thai"]}, [], "slot 'food' needs two real values"),
+        ({"food": ["none", "dontcare", "thai", "greek"]}, ["--min-turns", "5", "--max-turns", "2"],
+         "min_turns=5, max_turns=2"),
+    ], ids=["no-real-value", "one-real-value", "min-above-max"])
+    def test_gen_data_bad_generator_input(self, tmp_path, capsys, slots, extra, message):
+        onto = tmp_path / "ontology.json"
+        onto.write_text(json.dumps(slots))
+        out = tmp_path / "c.json"
+        rc = main(["gen-data", "--ontology", str(onto), "--count", "20", "--out", str(out)]
+                  + extra)
+        assert_one_line_error(rc, capsys, message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["ablation", "--corpus", "CORPUS", "--seeds", "0,x", "--out", "OUT"],
+         "--seeds must be comma-separated integers, got '0,x'"),
+        (["ablation", "--corpus", "CORPUS", "--seeds", "0", "--out", "OUT"],
+         "ablation needs at least 2 seeds"),
+        (["train", "--corpus", "EMPTY", "--out", "OUT"], "training corpus is empty"),
+        (["train", "--corpus", "CORPUS", "--out", "OUT", "--epochs", "0"], "epochs must be >= 1"),
+        (["train", "--corpus", "CORPUS", "--out", "OUT", "--lr", "-1"],
+         "learning rate must be positive"),
+    ], ids=["seeds-not-integers", "one-seed", "empty-corpus", "zero-epochs", "negative-lr"])
+    def test_bad_run_settings(self, tmp_path, corpus_file, capsys, argv, message):
+        empty = tmp_path / "empty.json"
+        save_corpus(demo_ontology(), [], empty)
+        out = tmp_path / "out"
+        paths = {"CORPUS": corpus_file, "EMPTY": str(empty), "OUT": str(out)}
+        rc = main([paths.get(arg, arg) for arg in argv])
+        assert_one_line_error(rc, capsys, message)
+        assert not out.exists()
+
+    def test_internal_value_error_is_not_reported_as_bad_input(self, monkeypatch):
+        def broken(**kwargs):
+            raise ValueError("internal fault")
+        monkeypatch.setattr(training, "grad_check", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            main(["grad-check"])
+
 
 class TestCheckpointRoundTrip:
     def test_save_load_identity(self, tmp_path):
@@ -269,6 +363,25 @@ class TestCheckpointRoundTrip:
         preds_a = tracker.predict(corpus[0])
         preds_b = loaded.predict(corpus[0])
         assert preds_a == preds_b
+
+    def test_manifest_with_retired_settings_loads_identically(self, tmp_path):
+        """Older manifests record use_positional and learned_positions; their one
+        supported value (sinusoidal positions) is dropped on load."""
+        onto = demo_ontology()
+        corpus = generate_corpus(onto, 4, seed=5)
+        tracker = StateTracker(ModelConfig(d=8, heads=2, ff=16, four_class=True),
+                               data.build_vocab(corpus, onto), onto)
+        path = tmp_path / "m.ckpt"
+        ckpt.save_checkpoint(tracker, path)
+        man_path = Path(ckpt.manifest_path(path))
+        manifest = json.loads(man_path.read_text())
+        manifest["config"].update(use_positional=True, learned_positions=False)
+        man_path.write_text(json.dumps(manifest))
+        loaded = ckpt.load_checkpoint(path)
+        assert loaded.cfg == tracker.cfg
+        for d in corpus:
+            for mode in ("direct", "op_gated"):
+                assert loaded.predict(d, mode) == tracker.predict(d, mode)
 
 
 class TestGradCheckCommand:

@@ -204,6 +204,18 @@ class TestGenerator:
         with pytest.raises(ValidationError):
             generate_corpus(data.demo_ontology(), 0, seed=1)
 
+    @pytest.mark.parametrize("slots, shape, message", [
+        ({"food": ["none", "dontcare"]}, GenShape(), "slot 'food' needs two real values"),
+        ({"food": ["none", "dontcare", "thai"]}, GenShape(), "slot 'food' needs two real values"),
+        ({"food": ["none", "dontcare", "thai", "greek"]}, GenShape(min_turns=5, max_turns=2),
+         "min_turns=5, max_turns=2"),
+        ({"food": ["none", "dontcare", "thai", "greek"]}, GenShape(min_turns=0, max_turns=2),
+         "min_turns=0"),
+    ], ids=["no-real-value", "one-real-value", "min-above-max", "zero-turns"])
+    def test_generator_input_rejected_by_name(self, slots, shape, message):
+        with pytest.raises(ValidationError, match=message):
+            generate_corpus(Ontology(slots), 20, seed=0, shape=shape)
+
 
 class TestCorpusIO:
     def test_round_trip(self, tmp_path):

@@ -4,13 +4,13 @@ import pytest
 from maskdst import autodiff as ad
 from maskdst.data import Ontology, TokenSequence, Vocabulary
 from maskdst.encoders import (
-    ConfigError,
-    EncoderConfig,
     encode_catalog,
     encode_turn,
+    encoder_block,
     init_encoder,
     positional_encoding,
 )
+from maskdst.model import ModelConfig
 
 
 @pytest.fixture
@@ -39,32 +39,29 @@ class TestPositionalEncoding:
         assert positional_encoding(3, 8)[0] == pytest.approx(0.14112, abs=1e-5)
 
 
-class TestEncoderConfig:
-    def test_dim_head_divisibility(self):
-        with pytest.raises(ConfigError):
-            EncoderConfig(d=30, heads=4)
-
-
 class TestEncodeTurn:
     def test_pooled_is_cls_row(self, vocab):
-        cfg = EncoderConfig(d=8, heads=2, encoder_layers=1, ff=16)
+        cfg = ModelConfig(d=8, heads=2, encoder_layers=1, ff=16)
         params = make_params(cfg, vocab)
         seq = TokenSequence([vocab.cls_id, 5, 6, vocab.sep_id])
         enc = encode_turn(seq, params, "turn", cfg, vocab)
         assert np.array_equal(enc.pooled.data, enc.token_states.data[0])
 
-    def test_permutation_equivariance_without_positions(self, vocab):
-        cfg = EncoderConfig(d=8, heads=2, encoder_layers=1, ff=16, use_positional=False)
+    def test_block_permutation_equivariant_without_positions(self, vocab):
+        cfg = ModelConfig(d=8, heads=2, encoder_layers=1, ff=16)
         params = make_params(cfg, vocab)
-        seq_a = TokenSequence([vocab.cls_id, 5, 6, 7, vocab.sep_id])
-        seq_b = TokenSequence([vocab.cls_id, 6, 5, 7, vocab.sep_id])
-        rows_a = encode_turn(seq_a, params, "turn", cfg, vocab).token_states.data
-        rows_b = encode_turn(seq_b, params, "turn", cfg, vocab).token_states.data
+
+        def block_rows(ids):
+            x = ad.embedding(params["turn.embed"], np.asarray(ids))
+            return encoder_block(params, "turn.l0", x, cfg.heads).data
+
+        rows_a = block_rows([vocab.cls_id, 5, 6, 7, vocab.sep_id])
+        rows_b = block_rows([vocab.cls_id, 6, 5, 7, vocab.sep_id])
         key = lambda rows: sorted(map(tuple, np.round(rows, 12)))
         assert key(rows_a) == key(rows_b)
 
     def test_zero_layers_degenerate_path(self, vocab):
-        cfg = EncoderConfig(d=8, heads=2, encoder_layers=0, ff=16)
+        cfg = ModelConfig(d=8, heads=2, encoder_layers=0, ff=16)
         params = make_params(cfg, vocab)
         seq = TokenSequence([vocab.cls_id, 4, vocab.sep_id])
         enc = encode_turn(seq, params, "turn", cfg, vocab)
@@ -74,13 +71,13 @@ class TestEncodeTurn:
         assert np.allclose(enc.token_states.data, expected, atol=1e-15)
 
     def test_out_of_range_id_rejected(self, vocab):
-        cfg = EncoderConfig(d=8, heads=2, encoder_layers=1, ff=16)
+        cfg = ModelConfig(d=8, heads=2, encoder_layers=1, ff=16)
         params = make_params(cfg, vocab)
         with pytest.raises(IndexError):
             encode_turn(TokenSequence([10_000]), params, "turn", cfg, vocab)
 
     def test_embedding_gradient_matches_finite_differences(self, vocab):
-        cfg = EncoderConfig(d=6, heads=2, encoder_layers=1, ff=8)
+        cfg = ModelConfig(d=6, heads=2, encoder_layers=1, ff=8)
         params = make_params(cfg, vocab)
         seq = TokenSequence([vocab.cls_id, 5, vocab.sep_id])
         readout = np.random.default_rng(1).normal(size=6)
@@ -108,7 +105,7 @@ class TestEncodeTurn:
         assert worst < 1e-4
 
     def test_deterministic(self, vocab):
-        cfg = EncoderConfig(d=8, heads=2, encoder_layers=2, ff=16)
+        cfg = ModelConfig(d=8, heads=2, encoder_layers=2, ff=16)
         params = make_params(cfg, vocab)
         seq = TokenSequence([vocab.cls_id, 5, 6, vocab.sep_id])
         a = encode_turn(seq, params, "turn", cfg, vocab).token_states.data
@@ -122,7 +119,7 @@ class TestCatalog:
         values = ["none", "dontcare"] + [f"v{i}" for i in range(48)]
         ontology = Ontology({"big-slot": values, "other": ["none", "dontcare", "x"]})
         vocab = Vocabulary(sorted({t for v in values for t in [v]} | {"big", "slot", "other", "x"}))
-        cfg = EncoderConfig(d=8, heads=2, encoder_layers=1, ff=16)
+        cfg = ModelConfig(d=8, heads=2, encoder_layers=1, ff=16)
         params = make_params(cfg, vocab, seed=42, prefix="frozen")
         return ontology, vocab, cfg, params
 

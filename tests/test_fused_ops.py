@@ -184,9 +184,8 @@ def loss_and_grads(tracker, dialogue, sv_only=False):
 
 
 MODEL_CASES = [
-    dict(four_class=four, tie_paths=tie, n_history=n, learned_positions=learned)
-    for four, tie, n, learned in itertools.product([False, True], [False, True], [1, 3],
-                                                   [False, True])
+    dict(four_class=four, tie_paths=tie, n_history=n, hier_layers=hier)
+    for four, tie, n, hier in itertools.product([False, True], [False, True], [1, 3], [1, 2])
 ]
 
 
@@ -196,7 +195,7 @@ def test_tracker_loss_and_grads_bit_identical_to_chains(case, reference_chains):
     onto = demo_ontology()
     corpus = generate_corpus(onto, 3, seed=11, shape=GenShape(min_turns=3, max_turns=5))
     vocab = build_vocab(corpus, onto)
-    cfg = ModelConfig(d=D, heads=2, encoder_layers=1, ff=16, hier_layers=1, seed=5, **case)
+    cfg = ModelConfig(d=D, heads=2, encoder_layers=1, ff=16, seed=5, **case)
     tracker = StateTracker(cfg, vocab, onto)
     fused = [loss_and_grads(tracker, d) for d in corpus]
     fused_beliefs = [tracker.predict(d, "op_gated") for d in corpus]
@@ -227,7 +226,7 @@ def test_tracker_bit_identical_to_per_turn_op_head(case, sv_only):
     onto = demo_ontology()
     corpus = generate_corpus(onto, 3, seed=11, shape=GenShape(min_turns=3, max_turns=5))
     vocab = build_vocab(corpus, onto)
-    cfg = ModelConfig(d=D, heads=2, encoder_layers=1, ff=16, hier_layers=1, seed=5, **case)
+    cfg = ModelConfig(d=D, heads=2, encoder_layers=1, ff=16, seed=5, **case)
     tracker = StateTracker(cfg, vocab, onto)
     oracle = ref.PerTurnOpTracker(cfg, vocab, onto)
     for d in corpus:

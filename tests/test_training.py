@@ -279,3 +279,7 @@ class TestModelConfigValidation:
         with pytest.raises(ConfigError, match="max_turn_tokens"):
             ModelConfig(max_turn_tokens=2)
         assert ModelConfig(max_turn_tokens=3).max_turn_tokens == 3
+
+    def test_dim_head_divisibility(self):
+        with pytest.raises(ConfigError, match="not divisible by 4 heads"):
+            ModelConfig(d=30, heads=4)
