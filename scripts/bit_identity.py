@@ -1,0 +1,224 @@
+"""Check that two checkouts of maskdst compute the same numbers, bit for bit.
+
+    python scripts/bit_identity.py dump <checkout>/src <out>
+    python scripts/bit_identity.py compare <out_a> <out_b>
+
+``dump`` imports maskdst from the given ``src`` directory in a fresh Python
+process (BLAS pinned to one thread) and writes the values below to
+``<out>/values.npz``, with the checkpoint of its trained model as
+``<out>/model.ckpt``:
+
+- for 16 model cases (``four_class`` x ``tie_paths`` x ``n_history`` in
+  {1, 3} x ``hier_layers`` in {1, 2}, at d=8) and the default config, on 6
+  dialogues of 2-7 turns: the initial weights and catalog, then per dialogue
+  the loss, the ``LossReport`` and every ``.grad`` (joint and ``sv_only``),
+  and the direct and op-gated beliefs;
+- ``tiny_setup`` seeds 0-2: the same per-dialogue values;
+- a 3-epoch d=16 training curve, its final weights and its metrics;
+- the beliefs of that trained model after a save/load round trip.
+
+``compare`` also loads each side's checkpoint with the other side's
+``src``, each in a fresh process, and requires the beliefs of the side that
+wrote it. It prints how many values it compared and how many differ, and
+exits 1 if any value differs or exists on one side only. Two values are
+equal when their dtype, shape and bytes are equal.
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+MODEL_CASES = [
+    dict(four_class=four, tie_paths=tie, n_history=n, hier_layers=hier)
+    for four, tie, n, hier in itertools.product([False, True], [False, True], [1, 3], [1, 2])
+]
+MODES = ("direct", "op_gated")
+
+
+# -- runs inside the fresh process -------------------------------------------
+
+def _import_from(src: Path):
+    import maskdst
+    if src not in Path(maskdst.__file__).resolve().parents:
+        raise SystemExit(f"maskdst imported from {maskdst.__file__}, not {src}")
+
+
+def _beliefs(tracker, dialogues, mode):
+    """Predicted beliefs as value indices, one row per turn, ontology slot order."""
+    onto = tracker.ontology
+    rows = []
+    for d in dialogues:
+        for belief in tracker.predict(d, mode):
+            rows.append([onto.values_of(s).index(belief.get(s, "none")) for s in onto.slot_names])
+    return np.asarray(rows, dtype=np.int64)
+
+
+def _belief_values(out, key, tracker, dialogues):
+    for mode in MODES:
+        out[f"{key}/beliefs/{mode}"] = _beliefs(tracker, dialogues, mode)
+
+
+def _dialogue_values(out, key, tracker, dialogue):
+    from maskdst import autodiff as ad
+    for sv_only in (False, True):
+        k = f"{key}/{'sv_only' if sv_only else 'joint'}"
+        tracker.zero_grads()
+        loss, report = tracker.loss(dialogue, sv_only=sv_only)
+        ad.backward(loss)
+        out[f"{k}/loss"] = np.asarray(loss.data)
+        out[f"{k}/report"] = np.asarray([report.l_sv, report.l_sop, report.l_joint])
+        for slot, entry in report.per_slot.items():
+            for name, value in entry.items():
+                out[f"{k}/report/{slot}/{name}"] = np.asarray(value)
+        for name, p in tracker.params.items():
+            out[f"{k}/grad/{name}"] = np.zeros(0) if p.grad is None else p.grad
+    _belief_values(out, key, tracker, [dialogue])
+
+
+def _tracker_values(out, key, tracker, dialogues):
+    for name, p in {**tracker.params, **tracker.frozen_params}.items():
+        out[f"{key}/init/{name}"] = p.data.copy()
+    for slot in tracker.ontology.slot_names:
+        out[f"{key}/catalog/{slot}/slot"] = tracker.catalog.slot_vecs[slot]
+        out[f"{key}/catalog/{slot}/values"] = tracker.catalog.value_mats[slot]
+    for i, d in enumerate(dialogues):
+        _dialogue_values(out, f"{key}/dialogue{i}", tracker, d)
+
+
+def _checkpoint_dialogues():
+    from maskdst.data import demo_ontology, generate_corpus
+    onto = demo_ontology()
+    return onto, generate_corpus(onto, 16, seed=3), generate_corpus(onto, 8, seed=4)
+
+
+def run_dump(src: Path, out_dir: Path):
+    _import_from(src)
+    from maskdst import checkpoint, training
+    from maskdst.data import GenShape, build_vocab, demo_ontology, generate_corpus
+    from maskdst.model import ModelConfig, StateTracker
+
+    out = {}
+    onto = demo_ontology()
+    corpus = generate_corpus(onto, 6, seed=11, shape=GenShape(min_turns=2, max_turns=7))
+    vocab = build_vocab(corpus, onto)
+    configs = [("default", ModelConfig())] + [
+        ("case" + "-".join(f"{k}={v}" for k, v in case.items()),
+         ModelConfig(d=8, heads=2, encoder_layers=1, ff=16, seed=5, **case))
+        for case in MODEL_CASES
+    ]
+    for key, cfg in configs:
+        _tracker_values(out, key, StateTracker(cfg, vocab, onto), corpus)
+    for seed in range(3):
+        tracker, dialogue = training.tiny_setup(seed)
+        _tracker_values(out, f"tiny{seed}", tracker, [dialogue])
+
+    onto, train_set, held_out = _checkpoint_dialogues()
+    tracker, curve = training.train(
+        onto, train_set, ModelConfig(d=16, heads=2, ff=32, seed=1),
+        training.TrainConfig(epochs=3, batch_size=4, seed=2),
+    )
+    for record in curve:
+        out[f"curve/epoch{record['epoch']}"] = np.asarray(
+            [record["l_sv"], record["l_sop"], record["l_joint"]])
+    for name, p in tracker.params.items():
+        out[f"curve/final/{name}"] = p.data
+    for mode in MODES:
+        metrics = training.evaluate(tracker, held_out, mode).to_dict()
+        for name, value in metrics.items():
+            if name != "per_slot":
+                out[f"curve/metrics/{mode}/{name}"] = np.asarray(value)
+    ckpt = out_dir / "model.ckpt"
+    checkpoint.save_checkpoint(tracker, ckpt)
+    _belief_values(out, "checkpoint", checkpoint.load_checkpoint(ckpt), train_set + held_out)
+
+    np.savez(out_dir / "values.npz", **out)
+    (out_dir / "meta.json").write_text(json.dumps({"src": str(src)}) + "\n")
+
+
+def run_load(src: Path, ckpt: Path, out_file: Path):
+    """Beliefs of a checkpoint written elsewhere, loaded by this src."""
+    _import_from(src)
+    from maskdst import checkpoint
+    _onto, train_set, held_out = _checkpoint_dialogues()
+    out = {}
+    _belief_values(out, "checkpoint", checkpoint.load_checkpoint(ckpt), train_set + held_out)
+    np.savez(out_file, **out)
+
+
+# -- the two commands ----------------------------------------------------------
+
+def _fresh(*args, src: Path):
+    """Run this script's internal command `args` in a new process importing from `src`."""
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    subprocess.run([sys.executable, str(Path(__file__).resolve()), *map(str, args)],
+                   env=env, check=True)
+
+
+def _load(path):
+    with np.load(path) as f:
+        return {k: f[k] for k in f.files}
+
+
+def _same(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def compare(dir_a: Path, dir_b: Path) -> int:
+    a, b = _load(dir_a / "values.npz"), _load(dir_b / "values.npz")
+    pairs = [(k, a.get(k), b.get(k)) for k in sorted(a.keys() | b.keys())]
+    with tempfile.TemporaryDirectory() as tmp:
+        for reader, writer, name in ((dir_a, dir_b, "a_reads_b"), (dir_b, dir_a, "b_reads_a")):
+            src = Path(json.loads((reader / "meta.json").read_text())["src"])
+            got = Path(tmp) / f"{name}.npz"
+            _fresh("_load", src, writer / "model.ckpt", got, src=src)
+            want = b if writer == dir_b else a
+            pairs += [(f"{name}/{k}", v, want.get(k)) for k, v in sorted(_load(got).items())]
+    differ = [k for k, x, y in pairs if x is None or y is None or not _same(x, y)]
+    numbers = sum(x.size for _, x, _ in pairs if x is not None)
+    print(f"compared {len(pairs)} values ({numbers} numbers): {len(differ)} differ")
+    for k in differ[:20]:
+        print(f"  differs: {k}")
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = p.add_subparsers(dest="command", required=True)
+    d = sub.add_parser("dump", help="write the values of one checkout")
+    d.add_argument("src", type=Path)
+    d.add_argument("out", type=Path)
+    c = sub.add_parser("compare", help="compare two dumps")
+    c.add_argument("a", type=Path)
+    c.add_argument("b", type=Path)
+    for internal in ("_dump", "_load"):
+        i = sub.add_parser(internal)
+        i.add_argument("paths", type=Path, nargs="+")
+    args = p.parse_args(argv)
+
+    if args.command == "dump":
+        src = args.src.resolve()
+        args.out.mkdir(parents=True, exist_ok=True)
+        _fresh("_dump", src, args.out.resolve(), src=src)
+        print(f"values of {src} -> {args.out / 'values.npz'}")
+        return 0
+    if args.command == "compare":
+        return compare(args.a.resolve(), args.b.resolve())
+    if args.command == "_dump":
+        run_dump(*args.paths)
+    else:
+        run_load(*args.paths)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -24,6 +24,8 @@ from .model import ModelConfig, StateTracker
 MAGIC = b"MDSTCKP1"
 # Settings that older manifests record, with the one value the model implements.
 RETIRED_CONFIG = {"use_positional": True, "learned_positions": False}
+MANIFEST_KEYS = ("tensors", "config", "vocab", "ontology", "ontology_hash")
+TENSOR_KEYS = ("name", "role", "shape")
 
 
 def ontology_hash(ontology: Ontology) -> str:
@@ -73,9 +75,25 @@ def _read(fh, n, path):
     return fh.read(n)
 
 
+def _check_manifest(manifest, where):
+    """A ValidationError naming the manifest if it lacks a key or a tensor entry lacks one."""
+    if not isinstance(manifest, dict):
+        raise ValidationError(f"{where} must hold a JSON object")
+    missing = [k for k in MANIFEST_KEYS if k not in manifest]
+    if missing:
+        raise ValidationError(f"{where} lacks {', '.join(missing)}")
+    if not isinstance(manifest["config"], dict) or not isinstance(manifest["tensors"], list):
+        raise ValidationError(f"{where}: config must be an object and tensors a list")
+    for i, entry in enumerate(manifest["tensors"]):
+        missing = [k for k in TENSOR_KEYS if not isinstance(entry, dict) or k not in entry]
+        if missing:
+            raise ValidationError(f"{where}: tensor entry {i} lacks {', '.join(missing)}")
+
+
 def load_checkpoint(path) -> StateTracker:
     with open(manifest_path(path), encoding="utf-8") as fh:
         manifest = json.load(fh)
+    _check_manifest(manifest, manifest_path(path))
     entries = {t["name"]: t for t in manifest["tensors"]}
 
     with open(path, "rb") as fh:

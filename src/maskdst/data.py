@@ -56,11 +56,12 @@ class Ontology:
     """
 
     def __init__(self, slots: dict):
+        if not isinstance(slots, dict):
+            raise ValidationError("ontology must be a JSON object of slot -> value list")
         self.slots = {}
         for name, values in slots.items():
-            if name in self.slots:
-                raise ValidationError(f"duplicate slot name {name!r}")
-            values = list(values)
+            if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+                raise ValidationError(f"slot {name!r} values must be a list of strings")
             if len(set(values)) != len(values):
                 raise ValidationError(f"duplicate values in slot {name!r}")
             for sentinel in (NONE_VALUE, DONTCARE_VALUE):
@@ -68,7 +69,7 @@ class Ontology:
                     raise ValidationError(
                         f"slot {name!r} must contain {sentinel!r} exactly once"
                     )
-            self.slots[name] = values
+            self.slots[name] = list(values)
         if not self.slots:
             raise ValidationError("ontology has no slots")
 
@@ -146,7 +147,6 @@ class Vocabulary:
             t for t in tokens if t not in RESERVED_TOKENS
         ]
         self.index = {t: i for i, t in enumerate(self.tokens)}
-        self.pad_id = self.index[PAD]
         self.unk_id = self.index[UNK]
         self.cls_id = self.index[CLS]
         self.sep_id = self.index[SEP]
@@ -171,14 +171,9 @@ def build_vocab(dialogues, ontology: Ontology) -> Vocabulary:
     return Vocabulary(sorted(seen))
 
 
-@dataclass
-class TokenSequence:
-    ids: list
-
-
 def tokenize_turn(system: str, user: str, vocab: Vocabulary,
-                  max_turn_tokens: int = 64) -> TokenSequence:
-    """Frame a turn as [CLS] system [SEP] user [SEP].
+                  max_turn_tokens: int = 64) -> list:
+    """Token ids of the frame [CLS] system [SEP] user [SEP].
 
     When the frame exceeds max_turn_tokens, tokens are dropped from the
     end of whichever utterance is currently longer (ties drop from the
@@ -191,20 +186,18 @@ def tokenize_turn(system: str, user: str, vocab: Vocabulary,
             sys_toks.pop()
         else:
             usr_toks.pop()
-    ids = (
+    return (
         [vocab.cls_id]
         + [vocab.id_of(t) for t in sys_toks]
         + [vocab.sep_id]
         + [vocab.id_of(t) for t in usr_toks]
         + [vocab.sep_id]
     )
-    return TokenSequence(ids)
 
 
-def tokenize_catalog_entry(text: str, vocab: Vocabulary) -> TokenSequence:
-    """[CLS] text [SEP] framing for slot names and candidate values."""
-    ids = [vocab.cls_id] + [vocab.id_of(t) for t in tokenize_text(text)] + [vocab.sep_id]
-    return TokenSequence(ids)
+def tokenize_catalog_entry(text: str, vocab: Vocabulary) -> list:
+    """Token ids of the frame [CLS] text [SEP], for slot names and candidate values."""
+    return [vocab.cls_id] + [vocab.id_of(t) for t in tokenize_text(text)] + [vocab.sep_id]
 
 
 # -- state-operation labels ---------------------------------------------
@@ -276,9 +269,6 @@ class RepairReport:
     @property
     def modified_count(self):
         return sum(e["modified"] for e in self.per_slot.values())
-
-    def to_dict(self):
-        return dict(self.per_slot)
 
 
 def repair_inheritance(dialogue: Dialogue, ontology: Ontology,

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import Ontology, TokenSequence, Vocabulary, tokenize_catalog_entry
+from .data import Ontology, Vocabulary, tokenize_catalog_entry
 
 
 class ConfigError(ValueError):
@@ -99,22 +99,17 @@ def encoder_block(params, prefix, x: Tensor, heads: int,
 
 # -- turn encoding -------------------------------------------------------
 
-@dataclass
-class TurnEncoding:
-    token_states: Tensor  # [L x d]
-    pooled: Tensor        # [d], the [CLS] position
-    pad_mask: np.ndarray  # [L] over {0, -inf}, -inf at [PAD] keys
+def encode_turn(ids, params, prefix, cfg) -> Tensor:
+    """Token states [L x d] of one token-id frame; row 0 is the [CLS] position.
 
-
-def encode_turn(tokens: TokenSequence, params, prefix, cfg,
-                vocab: Vocabulary) -> TurnEncoding:
-    ids = np.asarray(tokens.ids, dtype=np.int64)
+    Frames are never padded, so no key is masked.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
     x = ad.embedding(params[f"{prefix}.embed"], ids)
     x = x + ad.constant(positional_matrix(range(len(ids)), cfg.d))
-    pad_mask = np.where(ids == vocab.pad_id, ad.NEG_INF, 0.0)
     for layer in range(cfg.encoder_layers):
-        x = encoder_block(params, f"{prefix}.l{layer}", x, cfg.heads, pad_mask)
-    return TurnEncoding(token_states=x, pooled=x[0], pad_mask=pad_mask)
+        x = encoder_block(params, f"{prefix}.l{layer}", x, cfg.heads)
+    return x
 
 
 # -- frozen slot/value catalog ------------------------------------------
@@ -133,8 +128,8 @@ def encode_catalog(ontology: Ontology, frozen_params, prefix, cfg,
     graph, which is the stop-gradient contract for the frozen encoder.
     """
     def pooled(text):
-        seq = tokenize_catalog_entry(text, vocab)
-        return encode_turn(seq, frozen_params, prefix, cfg, vocab).pooled.data.copy()
+        ids = tokenize_catalog_entry(text, vocab)
+        return encode_turn(ids, frozen_params, prefix, cfg).data[0].copy()
 
     slot_vecs = {}
     value_mats = {}

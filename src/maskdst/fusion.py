@@ -9,7 +9,6 @@ branches through a learned sigmoid gate.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -18,7 +17,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .encoders import (
     ConfigError,
-    TurnEncoding,
     init_block,
     init_linear,
     init_mha,
@@ -31,25 +29,14 @@ GLOBAL = "global"
 LOCAL = "local"
 
 
-@dataclass
-class MaskMatrix:
-    entries: np.ndarray  # T x T over {0, -inf}
-    kind: str            # GLOBAL or LOCAL
-    n: Optional[int] = None
-
-
-def build_mask(turns: int, kind: str, n: Optional[int] = None) -> MaskMatrix:
-    """Turn-to-turn attention mask.
+@functools.lru_cache(maxsize=256)
+def build_mask(turns: int, kind: str, n: Optional[int] = None) -> np.ndarray:
+    """Turn-to-turn attention mask, [T x T] over {0, -inf}.
 
     Global: turn i attends to every turn j <= i. Local: turn i attends to
     the window max(1, i-n)..i (1-indexed), i.e. itself plus n history turns.
-    The entries are cached per (turns, kind, n), so they are read-only.
+    Masks are cached per (turns, kind, n), so they are read-only.
     """
-    return MaskMatrix(entries=_mask_entries(turns, kind, n), kind=kind, n=n)
-
-
-@functools.lru_cache(maxsize=256)
-def _mask_entries(turns: int, kind: str, n: Optional[int]) -> np.ndarray:
     if turns < 1:
         raise ConfigError(f"mask needs at least one turn, got {turns}")
     i = np.arange(turns)[:, None]
@@ -62,16 +49,13 @@ def _mask_entries(turns: int, kind: str, n: Optional[int]) -> np.ndarray:
         attendable = (j <= i) & (j >= i - n)
     else:
         raise ConfigError(f"unknown mask kind {kind!r}")
-    entries = np.where(attendable, 0.0, ad.NEG_INF)
-    entries.setflags(write=False)
-    return entries
+    mask = np.where(attendable, 0.0, ad.NEG_INF)
+    mask.setflags(write=False)
+    return mask
 
 
-def format_mask(mask: MaskMatrix) -> str:
-    rows = []
-    for row in mask.entries:
-        rows.append(" ".join("0" if v == 0.0 else "-inf" for v in row))
-    return "\n".join(rows)
+def format_mask(mask: np.ndarray) -> str:
+    return "\n".join(" ".join("0" if v == 0.0 else "-inf" for v in row) for row in mask)
 
 
 # -- parameters for one branch ------------------------------------------
@@ -90,19 +74,16 @@ def init_gate(params, d, rng):
 # -- operations ----------------------------------------------------------
 
 def word_attention(params, prefix, slot_queries: Tensor,
-                   turn: TurnEncoding, heads: int) -> Tensor:
+                   token_states: Tensor, heads: int) -> Tensor:
     """Attend slot-name vectors over one turn's token states.
 
-    slot_queries is [J x d]; returns the per-slot turn summaries [J x d].
-    [PAD] key positions are excluded via the turn's token mask.
+    slot_queries is [J x d], token_states [L x d]; returns the per-slot
+    turn summaries [J x d]. Every token is a key: frames hold no [PAD].
     """
-    return multi_head_attention(
-        params, f"{prefix}.wordatt", slot_queries, turn.token_states,
-        heads, turn.pad_mask,
-    )
+    return multi_head_attention(params, f"{prefix}.wordatt", slot_queries, token_states, heads)
 
 
-def masked_hier_transform(params, prefix, word_seq: Tensor, mask: MaskMatrix,
+def masked_hier_transform(params, prefix, word_seq: Tensor, mask: np.ndarray,
                           heads: int, hier_layers: int) -> Tensor:
     """Masked transformer over per-turn summaries.
 
@@ -111,18 +92,16 @@ def masked_hier_transform(params, prefix, word_seq: Tensor, mask: MaskMatrix,
     mask matrix, so row i only ever mixes attendable turns.
     """
     t, d = word_seq.shape
-    if mask.entries.shape != (t, t):
-        raise ad.ShapeError(
-            f"mask shape {mask.entries.shape} does not match {t} turns"
-        )
+    if mask.shape != (t, t):
+        raise ad.ShapeError(f"mask shape {mask.shape} does not match {t} turns")
     x = word_seq + ad.constant(positional_matrix(range(1, t + 1), d))
     for layer in range(hier_layers):
-        x = encoder_block(params, f"{prefix}.hier.l{layer}", x, heads, mask.entries)
+        x = encoder_block(params, f"{prefix}.hier.l{layer}", x, heads, mask)
     return x
 
 
 def slot_context_all(params, prefix, slot_vec: np.ndarray, hier_out: Tensor,
-                     window_mask: MaskMatrix, heads: int) -> Tensor:
+                     window_mask: np.ndarray, heads: int) -> Tensor:
     """Slot-over-turns attention for every turn at once.
 
     Row t of the result attends the slot name over the hier_out rows that
@@ -131,9 +110,7 @@ def slot_context_all(params, prefix, slot_vec: np.ndarray, hier_out: Tensor,
     """
     t = hier_out.shape[0]
     queries = ad.constant(np.repeat(slot_vec[None, :], t, axis=0))
-    return multi_head_attention(
-        params, f"{prefix}.slotatt", queries, hier_out, heads, window_mask.entries
-    )
+    return multi_head_attention(params, f"{prefix}.slotatt", queries, hier_out, heads, window_mask)
 
 
 def fuse(params, global_ctx: Tensor, local_ctx: Tensor):

@@ -7,7 +7,7 @@ per-dialogue forward pass used by training, evaluation and grad checking.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -40,6 +40,20 @@ from .heads import (
 )
 
 
+def check_config(cfg, minimums: dict):
+    """Raise ConfigError naming the first field of a config dataclass that is
+    not of its default's type (a float field also takes an int, and no other
+    field takes a bool unless its default is one) or is below its minimum."""
+    for f in fields(cfg):
+        value, kind = getattr(cfg, f.name), type(f.default)
+        if not isinstance(value, (int, float) if kind is float else kind) or (
+                kind is not bool and isinstance(value, bool)):
+            raise ConfigError(f"{f.name} must be {kind.__name__}, got {value!r}")
+    for name, low in minimums.items():
+        if getattr(cfg, name) < low:
+            raise ConfigError(f"{name} must be >= {low}, got {getattr(cfg, name)}")
+
+
 @dataclass
 class ModelConfig:
     d: int = 32
@@ -54,10 +68,10 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_config(self, {"d": 1, "heads": 1, "ff": 1, "n_history": 1, "max_turn_tokens": 3,
+                            "encoder_layers": 0, "hier_layers": 0, "seed": 0})
         if self.d % self.heads != 0:
             raise ConfigError(f"model dim {self.d} not divisible by {self.heads} heads")
-        if self.max_turn_tokens < 3:
-            raise ConfigError(f"max_turn_tokens must be >= 3, got {self.max_turn_tokens}")
 
     @property
     def num_ops(self):
@@ -73,7 +87,7 @@ GLOB, LOC = "glob", "loc"
 class DialogueOutput:
     sv_logits: dict      # slot -> Tensor [T x |v_s|]
     op_logits: dict      # slot -> Tensor [T x K]; empty when ops are not run
-    contexts: dict = field(default_factory=dict)  # slot -> (glob, loc, fused) [T x d]
+    contexts: dict       # slot -> (glob, loc, fused) [T x d]
 
 
 class StateTracker:
@@ -115,23 +129,17 @@ class StateTracker:
         for p in self.params.values():
             p.grad = None
 
-    def slot_names(self):
-        return self.ontology.slot_names
-
     # -- forward ---------------------------------------------------------
 
-    def forward(self, dialogue: Dialogue, keep_contexts: bool = False,
-                with_ops: bool = True) -> DialogueOutput:
+    def forward(self, dialogue: Dialogue, with_ops: bool = True) -> DialogueOutput:
         cfg = self.cfg
-        slots = self.slot_names()
+        slots = self.ontology.slot_names
         turns = dialogue.turns
         t_total = len(turns)
 
         encodings = [
-            encode_turn(
-                tokenize_turn(t.system, t.user, self.vocab, cfg.max_turn_tokens),
-                self.params, "turn", cfg, self.vocab,
-            )
+            encode_turn(tokenize_turn(t.system, t.user, self.vocab, cfg.max_turn_tokens),
+                        self.params, "turn", cfg)
             for t in turns
         ]
 
@@ -141,7 +149,7 @@ class StateTracker:
 
         # per-branch word-level slot summaries: [J x T x d]
         branch_word = {}
-        for branch, _ in ((GLOB, glob_mask), (LOC, loc_mask)):
+        for branch in (GLOB, LOC):
             prefix = self._branch_prefix(branch)
             per_turn = [
                 fusion.word_attention(self.params, prefix, slot_queries, enc, cfg.heads)
@@ -175,8 +183,7 @@ class StateTracker:
                     logits, hidden = op_decoder_step(self.params, ctx[LOC][t:t + 1], hidden)
                     steps.append(logits)
                 op_logits[slot] = ad.concat(steps)
-            if keep_contexts:
-                contexts[slot] = (ctx[GLOB], ctx[LOC], fused)
+            contexts[slot] = (ctx[GLOB], ctx[LOC], fused)
         return DialogueOutput(sv_logits=sv_logits, op_logits=op_logits, contexts=contexts)
 
     # -- loss ------------------------------------------------------------

@@ -27,7 +27,7 @@ from .data import (
     generate_corpus,
 )
 from .heads import DIRECT
-from .model import ConfigError, ModelConfig, StateTracker
+from .model import ConfigError, ModelConfig, StateTracker, check_config
 
 JOINT_MODE = "JOINT"
 SV_ONLY_MODE = "SV_ONLY"
@@ -47,12 +47,9 @@ class TrainConfig:
     loss_mode: str = JOINT_MODE
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ConfigError("learning rate must be positive")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        check_config(self, {"epochs": 1, "batch_size": 1})
+        if not self.lr > 0:
+            raise ConfigError(f"learning rate must be positive, got {self.lr}")
         if self.loss_mode not in (JOINT_MODE, SV_ONLY_MODE):
             raise ConfigError(f"unknown loss mode {self.loss_mode!r}")
 

@@ -18,7 +18,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -144,24 +144,21 @@ def op_decoder_step(params, c_loc: Tensor, state: OpDecoderState):
 class PerTurnOutput:
     sv_logits: dict      # slot -> Tensor [T x |v_s|]
     op_probs: dict       # slot -> list over turns of Tensor [K]
-    contexts: dict = field(default_factory=dict)  # slot -> (glob, loc, fused) [T x d]
+    contexts: dict       # slot -> (glob, loc, fused) [T x d]
 
 
 class PerTurnOpTracker(StateTracker):
     """``StateTracker`` with the per-turn op head: forward, loss and predict as they were."""
 
-    def forward(self, dialogue: Dialogue, keep_contexts: bool = False,
-                with_ops: bool = True) -> PerTurnOutput:
+    def forward(self, dialogue: Dialogue, with_ops: bool = True) -> PerTurnOutput:
         cfg = self.cfg
-        slots = self.slot_names()
+        slots = self.ontology.slot_names
         turns = dialogue.turns
         t_total = len(turns)
 
         encodings = [
-            encode_turn(
-                tokenize_turn(t.system, t.user, self.vocab, cfg.max_turn_tokens),
-                self.params, "turn", cfg, self.vocab,
-            )
+            encode_turn(tokenize_turn(t.system, t.user, self.vocab, cfg.max_turn_tokens),
+                        self.params, "turn", cfg)
             for t in turns
         ]
 
@@ -205,8 +202,7 @@ class PerTurnOpTracker(StateTracker):
                     dist, state = op_decoder_step(self.params, ctx[LOC][t], state)
                     probs.append(dist.probs)
                 op_probs[slot] = probs
-            if keep_contexts:
-                contexts[slot] = (ctx[GLOB], ctx[LOC], fused)
+            contexts[slot] = (ctx[GLOB], ctx[LOC], fused)
         return PerTurnOutput(sv_logits=sv_logits, op_probs=op_probs, contexts=contexts)
 
     def gold_value_indices(self, dialogue: Dialogue, slot: str) -> np.ndarray:
@@ -230,7 +226,7 @@ class PerTurnOpTracker(StateTracker):
         out = self.forward(dialogue, with_ops=not sv_only)
         sv_terms = {}
         sop_terms = {}
-        for slot in self.slot_names():
+        for slot in self.ontology.slot_names:
             gold_v = self.gold_value_indices(dialogue, slot)
             sv_terms[slot] = nll_from_logits(out.sv_logits[slot], gold_v)
             if not sv_only:
@@ -246,7 +242,7 @@ class PerTurnOpTracker(StateTracker):
         with_ops = mode != DIRECT
         with ad.no_grad():
             out = self.forward(dialogue, with_ops=with_ops)
-        slots = self.slot_names()
+        slots = self.ontology.slot_names
         beliefs = []
         prev = {}
         for t in range(len(dialogue.turns)):

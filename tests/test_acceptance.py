@@ -69,8 +69,8 @@ def test_criterion_2_mask_semantics_random_cases():
         kind = fusion.GLOBAL if rng.random() < 0.5 else fusion.LOCAL
         mask = fusion.build_mask(t_total, kind, n if kind == fusion.LOCAL else None)
         logits = ad.constant(rng.normal(size=(t_total, t_total)))
-        weights = ad.masked_softmax(logits, mask.entries).data
-        blocked = mask.entries == -np.inf
+        weights = ad.masked_softmax(logits, mask).data
+        blocked = mask == -np.inf
         assert np.all(weights[blocked] == 0.0)
         assert np.allclose(weights.sum(axis=1), 1.0, atol=1e-12, rtol=0.0)
         # receptive-field probe: perturb one future/out-of-window column
@@ -79,7 +79,7 @@ def test_criterion_2_mask_semantics_random_cases():
             j = int(rng.integers(i + 1, t_total))
             bumped = logits.data.copy()
             bumped[:, j] += 100.0
-            weights2 = ad.masked_softmax(ad.constant(bumped), mask.entries).data
+            weights2 = ad.masked_softmax(ad.constant(bumped), mask).data
             assert weights2[i].tobytes() == weights[i].tobytes()
     report("criterion-2 mask-semantics", "(200 random cases)")
 
@@ -95,7 +95,7 @@ def test_criterion_3_wide_local_window_equals_full_prefix():
     tracker = StateTracker(cfg, vocab, onto)
     worst = 0.0
     for d in dialogues:
-        out = tracker.forward(d, keep_contexts=True, with_ops=False)
+        out = tracker.forward(d, with_ops=False)
         for slot in onto.slot_names:
             glob_ctx, loc_ctx, _ = out.contexts[slot]
             worst = max(worst, float(np.abs(glob_ctx.data - loc_ctx.data).max()))

@@ -227,7 +227,17 @@ class TestRejectedInput:
         ({"d": 8, "use_positional": False}, "unknown keys: use_positional"),
         ({"batch_size": 0}, "batch_size must be >= 1"),
         ({"max_turn_tokens": 2}, "max_turn_tokens must be >= 3"),
-    ], ids=["list", "unknown-key", "key-train-ignores", "batch-size-0", "max-turn-tokens-2"])
+        ({"d": "8"}, "d must be int, got '8'"),
+        ({"d": 8.0}, "d must be int, got 8.0"),
+        ({"heads": True, "epochs": 1}, "heads must be int, got True"),
+        ({"four_class": 1, "epochs": 1}, "four_class must be bool, got 1"),
+        ({"epochs": 1.5}, "epochs must be int, got 1.5"),
+        ({"lr": "0.1"}, "lr must be float, got '0.1'"),
+        ({"clip_norm": "1"}, "clip_norm must be float, got '1'"),
+        ({"loss_mode": 1}, "loss_mode must be str, got 1"),
+    ], ids=["list", "unknown-key", "key-train-ignores", "batch-size-0", "max-turn-tokens-2",
+            "d-string", "d-float", "heads-bool", "four-class-int", "epochs-float", "lr-string",
+            "clip-norm-string", "loss-mode-int"])
     def test_bad_config_file(self, tmp_path, corpus_file, capsys, config, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -240,6 +250,24 @@ class TestRejectedInput:
         rc = main(["train", "--corpus", corpus_file, "--out", str(tmp_path / "m.ckpt"),
                    "--batch-size", "0"])
         assert_one_line_error(rc, capsys, "batch_size must be >= 1")
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--d", "0"], "d must be >= 1, got 0"),
+        (["--heads", "0"], "heads must be >= 1, got 0"),
+        (["--ff", "0"], "ff must be >= 1, got 0"),
+        (["--n-history", "0"], "n_history must be >= 1, got 0"),
+        (["--encoder-layers", "-1"], "encoder_layers must be >= 0, got -1"),
+        (["--hier-layers", "-1"], "hier_layers must be >= 0, got -1"),
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
+        (["--lr", "nan"], "learning rate must be positive, got nan"),
+    ], ids=["d-0", "heads-0", "ff-0", "n-history-0", "encoder-layers-negative",
+            "hier-layers-negative", "seed-negative", "lr-nan"])
+    def test_bad_size_flag(self, tmp_path, corpus_file, capsys, flags, message):
+        ck = tmp_path / "m.ckpt"
+        rc = main(["train", "--corpus", corpus_file, "--out", str(ck), "--epochs", "1",
+                   "--d", "8", "--heads", "2", "--ff", "16"] + flags)
+        out = assert_one_line_error(rc, capsys, message)
+        assert "trained" not in out and not ck.exists()
 
     @pytest.mark.parametrize("flag", ["--out", "--curve"])
     def test_train_output_into_missing_directory(self, tmp_path, corpus_file, capsys, flag):
@@ -285,15 +313,28 @@ class TestRejectedInput:
          "unsupported config learned_positions=True"),
         (lambda ck, man: man["config"].update(use_positional=False),
          "unsupported config use_positional=False"),
+        (lambda ck, man: man.update(replace_with=[man]), "manifest.json must hold a JSON object"),
+        (lambda ck, man: man.pop("tensors"), "manifest.json lacks tensors"),
+        (lambda ck, man: man.pop("config"), "manifest.json lacks config"),
+        (lambda ck, man: man.pop("vocab"), "manifest.json lacks vocab"),
+        (lambda ck, man: man.pop("ontology"), "manifest.json lacks ontology"),
+        (lambda ck, man: man.pop("ontology_hash"), "manifest.json lacks ontology_hash"),
+        (lambda ck, man: man["tensors"][0].pop("name"), "manifest.json: tensor entry 0 lacks name"),
+        (lambda ck, man: man["tensors"][0].pop("role"), "manifest.json: tensor entry 0 lacks role"),
+        (lambda ck, man: man["tensors"][1].pop("shape"),
+         "manifest.json: tensor entry 1 lacks shape"),
     ], ids=["truncated", "trailing-bytes", "count", "shape", "unknown-key",
-            "learned-positions", "no-positions"])
+            "learned-positions", "no-positions", "manifest-not-object", "no-tensors",
+            "no-config", "no-vocab", "no-ontology", "no-ontology-hash", "entry-no-name",
+            "entry-no-role", "entry-no-shape"])
     def test_eval_corrupt_checkpoint(self, corpus_file, checkpoint_file, capsys,
                                      corrupt, message):
         ck = Path(checkpoint_file)
         man_path = Path(ckpt.manifest_path(ck))
         manifest = json.loads(man_path.read_text())
         corrupt(ck, manifest)
-        man_path.write_text(json.dumps(manifest))
+        # a case can swap in a whole other manifest through "replace_with"
+        man_path.write_text(json.dumps(manifest.pop("replace_with", manifest)))
         rc = main(["eval", "--corpus", corpus_file, "--checkpoint", str(ck)])
         out = assert_one_line_error(rc, capsys, message)
         assert out == ""
@@ -303,7 +344,10 @@ class TestRejectedInput:
         ({"food": ["none", "dontcare", "thai"]}, [], "slot 'food' needs two real values"),
         ({"food": ["none", "dontcare", "thai", "greek"]}, ["--min-turns", "5", "--max-turns", "2"],
          "min_turns=5, max_turns=2"),
-    ], ids=["no-real-value", "one-real-value", "min-above-max"])
+        (["a"], [], "ontology must be a JSON object"),
+        ({"food": "none dontcare thai"}, [], "slot 'food' values must be a list of strings"),
+    ], ids=["no-real-value", "one-real-value", "min-above-max", "ontology-list",
+            "values-string"])
     def test_gen_data_bad_generator_input(self, tmp_path, capsys, slots, extra, message):
         onto = tmp_path / "ontology.json"
         onto.write_text(json.dumps(slots))

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -8,6 +9,7 @@ from maskdst.data import (
     NONE_VALUE,
     Dialogue,
     GenShape,
+    PAD,
     Ontology,
     StateOp,
     Turn,
@@ -21,6 +23,7 @@ from maskdst.data import (
     load_corpus,
     repair_inheritance,
     save_corpus,
+    tokenize_catalog_entry,
     tokenize_turn,
 )
 
@@ -43,6 +46,16 @@ class TestOntology:
         with pytest.raises(ValidationError, match="duplicate"):
             Ontology({"food": ["none", "dontcare", "thai", "thai"]})
 
+    @pytest.mark.parametrize("slots, message", [
+        (["a"], "ontology must be a JSON object"),
+        ({"food": "none dontcare thai"}, "slot 'food' values must be a list of strings"),
+        ({"food": ("none", "dontcare", "thai")}, "slot 'food' values must be a list of strings"),
+        ({"food": ["none", "dontcare", 3]}, "slot 'food' values must be a list of strings"),
+    ], ids=["list", "values-string", "values-tuple", "value-int"])
+    def test_malformed_ontology_rejected_by_name(self, slots, message):
+        with pytest.raises(ValidationError, match=message):
+            Ontology(slots)
+
     def test_real_values_exclude_sentinels(self, ontology):
         assert ontology.real_values("food") == ["Indian", "Italian"]
 
@@ -53,25 +66,73 @@ class TestTokenizer:
         return Vocabulary(["hello", "ok", "w" + "x"] + [f"t{i}" for i in range(300)])
 
     def test_empty_system_turn(self, vocab):
-        seq = tokenize_turn("", "hello", vocab)
-        assert seq.ids == [vocab.cls_id, vocab.sep_id, vocab.id_of("hello"), vocab.sep_id]
+        ids = tokenize_turn("", "hello", vocab)
+        assert ids == [vocab.cls_id, vocab.sep_id, vocab.id_of("hello"), vocab.sep_id]
 
     def test_symmetry(self, vocab):
-        seq = tokenize_turn("ok", "ok", vocab)
+        ids = tokenize_turn("ok", "ok", vocab)
         ok = vocab.id_of("ok")
-        assert seq.ids == [vocab.cls_id, ok, vocab.sep_id, ok, vocab.sep_id]
+        assert ids == [vocab.cls_id, ok, vocab.sep_id, ok, vocab.sep_id]
 
     def test_truncation_accounting(self, vocab):
         user = " ".join(f"t{i}" for i in range(200))
-        seq = tokenize_turn("", user, vocab, max_turn_tokens=64)
-        assert len(seq.ids) == 64
-        assert seq.ids.count(vocab.sep_id) == 2
-        assert seq.ids[0] == vocab.cls_id
-        assert seq.ids[-1] == vocab.sep_id
+        ids = tokenize_turn("", user, vocab, max_turn_tokens=64)
+        assert len(ids) == 64
+        assert ids.count(vocab.sep_id) == 2
+        assert ids[0] == vocab.cls_id
+        assert ids[-1] == vocab.sep_id
 
     def test_unknown_tokens_map_to_unk(self, vocab):
-        seq = tokenize_turn("", "zzzunknown", vocab)
-        assert vocab.unk_id in seq.ids
+        ids = tokenize_turn("", "zzzunknown", vocab)
+        assert vocab.unk_id in ids
+
+
+ADVERSARIAL_TEXT = [
+    "[PAD]", "[pad]", "[PAD][PAD] [PAD]", "[[PAD]]", "pad [ pad ] [PAD", "PAD]",
+    "[UNK] [CLS] [SEP]", "[]", "[ ]", "]][[", "café [PAD] naïve", "ＰＡＤ ［ＰＡＤ］",
+    "\u212a\u0130 \u00df", "zero\u200bwidth [\u200bPAD\u200b]", "", "   ",
+]
+
+
+class TestNoPadToken:
+    """Frames never hold [PAD]'s id, so the turn encoder needs no key mask."""
+
+    def assert_no_pad(self, vocab, texts):
+        pad = vocab.index[PAD]
+        for system in texts:
+            for user in texts:
+                assert pad not in tokenize_turn(system, user, vocab)
+                assert pad not in tokenize_turn(system, user, vocab, max_turn_tokens=3)
+            assert pad not in tokenize_catalog_entry(system, vocab)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_generated_corpora(self, seed):
+        ontology = data.demo_ontology()
+        dialogues = generate_corpus(ontology, 30, seed=seed)
+        vocab = build_vocab(dialogues, ontology)
+        pad = vocab.index[PAD]
+        for d in dialogues:
+            for turn in d.turns:
+                assert pad not in tokenize_turn(turn.system, turn.user, vocab)
+        for slot, values in ontology.slots.items():
+            for text in [slot] + values:
+                assert pad not in tokenize_catalog_entry(text, vocab)
+
+    def test_adversarial_text(self):
+        dialogues = [Dialogue("adv", [Turn(t, t, {}) for t in ADVERSARIAL_TEXT])]
+        vocab = build_vocab(dialogues, Ontology({"[PAD]": [NONE_VALUE, DONTCARE_VALUE, "[pad]"]}))
+        assert "pad" in vocab.index and vocab.index["pad"] != vocab.index[PAD]
+        self.assert_no_pad(vocab, ADVERSARIAL_TEXT)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_text(self, seed):
+        rng = random.Random(seed)
+        alphabet = "[]PADpad UNKCLSSEP0123456789_-,.!?éßİＰ\u200b\u212a"
+        texts = ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 30)))
+                 for _ in range(40)]
+        dialogues = [Dialogue("rand", [Turn(t, t, {}) for t in texts])]
+        vocab = build_vocab(dialogues, data.demo_ontology())
+        self.assert_no_pad(vocab, texts)
 
 
 class TestDeriveStateOps:

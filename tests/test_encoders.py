@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from maskdst import autodiff as ad
-from maskdst.data import Ontology, TokenSequence, Vocabulary
+from maskdst.data import Ontology, Vocabulary, tokenize_catalog_entry
 from maskdst.encoders import (
     encode_catalog,
     encode_turn,
@@ -42,10 +42,16 @@ class TestPositionalEncoding:
 class TestEncodeTurn:
     def test_pooled_is_cls_row(self, vocab):
         cfg = ModelConfig(d=8, heads=2, encoder_layers=1, ff=16)
-        params = make_params(cfg, vocab)
-        seq = TokenSequence([vocab.cls_id, 5, 6, vocab.sep_id])
-        enc = encode_turn(seq, params, "turn", cfg, vocab)
-        assert np.array_equal(enc.pooled.data, enc.token_states.data[0])
+        params = make_params(cfg, vocab, prefix="frozen")
+        ontology = Ontology({"w5 w6": ["none", "dontcare", "w7"]})
+        catalog = encode_catalog(ontology, params, "frozen", cfg, vocab)
+
+        def cls_row(text):
+            return encode_turn(tokenize_catalog_entry(text, vocab), params, "frozen", cfg).data[0]
+
+        assert np.array_equal(catalog.slot_vecs["w5 w6"], cls_row("w5 w6"))
+        for row, value in zip(catalog.value_mats["w5 w6"], ontology.values_of("w5 w6")):
+            assert np.array_equal(row, cls_row(value))
 
     def test_block_permutation_equivariant_without_positions(self, vocab):
         cfg = ModelConfig(d=8, heads=2, encoder_layers=1, ff=16)
@@ -63,28 +69,28 @@ class TestEncodeTurn:
     def test_zero_layers_degenerate_path(self, vocab):
         cfg = ModelConfig(d=8, heads=2, encoder_layers=0, ff=16)
         params = make_params(cfg, vocab)
-        seq = TokenSequence([vocab.cls_id, 4, vocab.sep_id])
-        enc = encode_turn(seq, params, "turn", cfg, vocab)
-        expected = params["turn.embed"].data[seq.ids] + np.stack(
+        ids = [vocab.cls_id, 4, vocab.sep_id]
+        enc = encode_turn(ids, params, "turn", cfg)
+        expected = params["turn.embed"].data[ids] + np.stack(
             [positional_encoding(p, 8) for p in range(3)]
         )
-        assert np.allclose(enc.token_states.data, expected, atol=1e-15)
+        assert np.allclose(enc.data, expected, atol=1e-15)
 
     def test_out_of_range_id_rejected(self, vocab):
         cfg = ModelConfig(d=8, heads=2, encoder_layers=1, ff=16)
         params = make_params(cfg, vocab)
         with pytest.raises(IndexError):
-            encode_turn(TokenSequence([10_000]), params, "turn", cfg, vocab)
+            encode_turn([10_000], params, "turn", cfg)
 
     def test_embedding_gradient_matches_finite_differences(self, vocab):
         cfg = ModelConfig(d=6, heads=2, encoder_layers=1, ff=8)
         params = make_params(cfg, vocab)
-        seq = TokenSequence([vocab.cls_id, 5, vocab.sep_id])
+        ids = [vocab.cls_id, 5, vocab.sep_id]
         readout = np.random.default_rng(1).normal(size=6)
 
         def scalar():
-            enc = encode_turn(seq, params, "turn", cfg, vocab)
-            return ad.tsum(enc.pooled * ad.constant(readout))
+            enc = encode_turn(ids, params, "turn", cfg)
+            return ad.tsum(enc[0] * ad.constant(readout))
 
         ad.backward(scalar())
         table = params["turn.embed"]
@@ -107,9 +113,9 @@ class TestEncodeTurn:
     def test_deterministic(self, vocab):
         cfg = ModelConfig(d=8, heads=2, encoder_layers=2, ff=16)
         params = make_params(cfg, vocab)
-        seq = TokenSequence([vocab.cls_id, 5, 6, vocab.sep_id])
-        a = encode_turn(seq, params, "turn", cfg, vocab).token_states.data
-        b = encode_turn(seq, params, "turn", cfg, vocab).token_states.data
+        ids = [vocab.cls_id, 5, 6, vocab.sep_id]
+        a = encode_turn(ids, params, "turn", cfg).data
+        b = encode_turn(ids, params, "turn", cfg).data
         assert np.array_equal(a, b)
 
 

@@ -55,9 +55,9 @@ def pad_mask(rng, length):
 
 TURN_MASKS = {
     "none": lambda t: None,
-    "global": lambda t: build_mask(t, GLOBAL).entries,
-    "local1": lambda t: build_mask(t, LOCAL, 1).entries,
-    "local3": lambda t: build_mask(t, LOCAL, 3).entries,
+    "global": lambda t: build_mask(t, GLOBAL),
+    "local1": lambda t: build_mask(t, LOCAL, 1),
+    "local3": lambda t: build_mask(t, LOCAL, 3),
 }
 
 

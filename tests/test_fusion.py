@@ -4,7 +4,7 @@ import pytest
 from maskdst import autodiff as ad
 from maskdst import fusion
 from maskdst.data import Dialogue, Turn, Vocabulary, demo_ontology, generate_corpus, build_vocab
-from maskdst.encoders import ConfigError, TurnEncoding, init_mha, positional_matrix
+from maskdst.encoders import ConfigError, init_mha, multi_head_attention, positional_matrix
 from maskdst.fusion import (
     GLOBAL,
     LOCAL,
@@ -25,8 +25,8 @@ class TestBuildMask:
     def test_local_window_pattern(self):
         mask = build_mask(4, LOCAL, 1)
         # 1-indexed row 3 attends to turns {2, 3}; row 1 only to itself
-        assert list(mask.entries[2]) == [NEG, 0.0, 0.0, NEG]
-        assert list(mask.entries[0]) == [0.0, NEG, NEG, NEG]
+        assert list(mask[2]) == [NEG, 0.0, 0.0, NEG]
+        assert list(mask[0]) == [0.0, NEG, NEG, NEG]
 
     def test_global_causal(self):
         mask = build_mask(3, GLOBAL)
@@ -35,18 +35,18 @@ class TestBuildMask:
             [0.0, 0.0, NEG],
             [0.0, 0.0, 0.0],
         ])
-        assert np.array_equal(mask.entries, expected)
+        assert np.array_equal(mask, expected)
 
     def test_wide_local_equals_global(self):
         local = build_mask(4, LOCAL, 10)
         glob = build_mask(4, GLOBAL)
-        assert np.array_equal(local.entries, glob.entries)
+        assert np.array_equal(local, glob)
 
     def test_diagonal_always_attendable(self):
         for t in range(1, 9):
             for mask in (build_mask(t, GLOBAL), build_mask(t, LOCAL, 2)):
-                assert (np.diag(mask.entries) == 0.0).all()
-                assert not np.isneginf(mask.entries).all(axis=1).any()
+                assert (np.diag(mask) == 0.0).all()
+                assert not np.isneginf(mask).all(axis=1).any()
 
     def test_invalid_history_length(self):
         with pytest.raises(ConfigError):
@@ -58,9 +58,7 @@ class TestBuildMask:
 
 
 def make_turn_encoding(rng, length, d):
-    states = ad.constant(rng.normal(size=(length, d)))
-    return TurnEncoding(token_states=states, pooled=states[0],
-                        pad_mask=np.zeros(length))
+    return ad.constant(rng.normal(size=(length, d)))
 
 
 def mha_params(prefix, d, rng):
@@ -87,7 +85,7 @@ class TestWordAttention:
         out = word_attention(params, "p", query, turn, heads=2)
         # attention weight is 1 on the only token: output equals its value
         # projection routed through the output projection
-        expected = (turn.token_states.data @ params["p.wordatt.wv"].data
+        expected = (turn.data @ params["p.wordatt.wv"].data
                     ) @ params["p.wordatt.wo"].data
         assert np.allclose(out.data, expected, atol=1e-12)
 
@@ -96,13 +94,11 @@ class TestWordAttention:
         d = 8
         params = mha_params("p.wordatt", d, rng)
         row = rng.normal(size=d)
-        states = ad.constant(np.tile(row, (5, 1)))
-        turn = TurnEncoding(token_states=states, pooled=states[0], pad_mask=np.zeros(5))
+        turn = ad.constant(np.tile(row, (5, 1)))
         query = ad.constant(rng.normal(size=(1, d)))
         out = word_attention(params, "p", query, turn, heads=2)
         single = make_turn_encoding(np.random.default_rng(99), 1, d)
-        single = TurnEncoding(token_states=ad.constant(row[None, :]),
-                              pooled=None, pad_mask=np.zeros(1))
+        single = ad.constant(row[None, :])
         expected = word_attention(params, "p", query, single, heads=2)
         assert np.allclose(out.data, expected.data, atol=1e-12)
 
@@ -111,8 +107,7 @@ class TestWordAttention:
         params = identity_mha_params("p.wordatt", d)
         rng = np.random.default_rng(2)
         states = rng.normal(size=(3, d))
-        turn = TurnEncoding(token_states=ad.constant(states), pooled=None,
-                            pad_mask=np.zeros(3))
+        turn = ad.constant(states)
         h_s = rng.normal(size=d)
         out = word_attention(params, "p", ad.constant(h_s[None, :]), turn, heads=1)
         scores = states @ h_s / np.sqrt(d)
@@ -127,13 +122,11 @@ class TestWordAttention:
         states = rng.normal(size=(4, d))
         mask = np.array([0.0, 0.0, NEG, NEG])
         query = ad.constant(rng.normal(size=(1, d)))
-        turn = TurnEncoding(ad.constant(states), None, mask)
-        out = word_attention(params, "p", query, turn, heads=2)
+        out = multi_head_attention(params, "p.wordatt", query, ad.constant(states), 2, mask)
         # changing the padded rows must not change the output
         states2 = states.copy()
         states2[2:] += 100.0
-        turn2 = TurnEncoding(ad.constant(states2), None, mask)
-        out2 = word_attention(params, "p", query, turn2, heads=2)
+        out2 = multi_head_attention(params, "p.wordatt", query, ad.constant(states2), 2, mask)
         assert np.array_equal(out.data, out2.data)
 
 
@@ -299,23 +292,23 @@ class TestPathEquivalenceAndCausality:
     def test_tied_paths_with_wide_history_are_equal(self):
         tracker, corpus = self.build_tracker(n_history=10, tie_paths=True)
         for d in corpus[:3]:
-            out = tracker.forward(d, keep_contexts=True, with_ops=False)
+            out = tracker.forward(d, with_ops=False)
             for slot, (glob, loc, _fused) in out.contexts.items():
                 assert np.abs(glob.data - loc.data).max() < 1e-9
 
     def test_fused_context_causal_bitwise(self):
         tracker, corpus = self.build_tracker(n_history=1, tie_paths=False)
         d = next(x for x in corpus if len(x.turns) >= 3)
-        out_a = tracker.forward(d, keep_contexts=True, with_ops=False)
+        out_a = tracker.forward(d, with_ops=False)
         modified = Dialogue(d.id, [
             Turn(t.system, t.user, dict(t.belief)) for t in d.turns
         ])
         modified.turns[-1] = Turn("completely new system text",
                                   "and a different user turn that mentions thai",
                                   modified.turns[-1].belief)
-        out_b = tracker.forward(modified, keep_contexts=True, with_ops=False)
+        out_b = tracker.forward(modified, with_ops=False)
         keep = len(d.turns) - 1
-        for slot in tracker.slot_names():
+        for slot in tracker.ontology.slot_names:
             fused_a = out_a.contexts[slot][2].data
             fused_b = out_b.contexts[slot][2].data
             assert np.array_equal(fused_a[:keep], fused_b[:keep])
