@@ -14,6 +14,9 @@ process (BLAS pinned to one thread) and writes the values below to
   the loss, the ``LossReport`` and every ``.grad`` (joint and ``sv_only``),
   and the direct and op-gated beliefs;
 - ``tiny_setup`` seeds 0-2: the same per-dialogue values;
+- for the default config and ``tie_paths=True``, on 2 dialogues of 8-10
+  turns: the no-grad ``forward`` logits of every prefix, in call order on
+  one tracker, so values reused from an earlier prefix are compared too;
 - a 3-epoch d=16 training curve, its final weights and its metrics;
 - the beliefs of that trained model after a save/load round trip.
 
@@ -94,6 +97,18 @@ def _tracker_values(out, key, tracker, dialogues):
         _dialogue_values(out, f"{key}/dialogue{i}", tracker, d)
 
 
+def _prefix_values(out, key, tracker, dialogues):
+    from maskdst import autodiff as ad
+    from maskdst.data import Dialogue
+    for i, d in enumerate(dialogues):
+        for t in range(1, len(d.turns) + 1):
+            with ad.no_grad():
+                fwd = tracker.forward(Dialogue(d.id, d.turns[:t]))
+            for slot in tracker.ontology.slot_names:
+                out[f"{key}/dialogue{i}/prefix{t}/{slot}/sv"] = fwd.sv_logits[slot].data
+                out[f"{key}/dialogue{i}/prefix{t}/{slot}/op"] = fwd.op_logits[slot].data
+
+
 def _checkpoint_dialogues():
     from maskdst.data import demo_ontology, generate_corpus
     onto = demo_ontology()
@@ -120,6 +135,10 @@ def run_dump(src: Path, out_dir: Path):
     for seed in range(3):
         tracker, dialogue = training.tiny_setup(seed)
         _tracker_values(out, f"tiny{seed}", tracker, [dialogue])
+    long = generate_corpus(onto, 2, seed=12, shape=GenShape(min_turns=8, max_turns=10))
+    for key, cfg in (("default", ModelConfig()), ("tied", ModelConfig(tie_paths=True))):
+        tracker = StateTracker(cfg, build_vocab(long, onto), onto)
+        _prefix_values(out, f"prefixes/{key}", tracker, long)
 
     onto, train_set, held_out = _checkpoint_dialogues()
     tracker, curve = training.train(

@@ -57,6 +57,11 @@ def no_grad():
         _grad_mode.enabled = previous
 
 
+def grad_enabled() -> bool:
+    """Whether ops record a tape in this thread (False inside ``no_grad()``)."""
+    return _grad_mode.enabled
+
+
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 

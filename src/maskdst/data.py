@@ -445,24 +445,40 @@ def corpus_to_dict(ontology: Ontology, dialogues) -> dict:
     return out
 
 
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _checked(value, kind, path: str):
+    """Return `value`, or raise ValidationError naming its corpus path if not of `kind`."""
+    if not isinstance(value, kind):
+        raise ValidationError(f"corpus {path} must be {_JSON_KINDS[kind]}, "
+                              f"got {type(value).__name__}")
+    return value
+
+
 def corpus_from_dict(payload: dict):
+    _checked(payload, dict, "file")
     try:
         ontology = Ontology(payload["ontology"])
     except KeyError:
         raise ValidationError("corpus file is missing the ontology section")
     dialogues = []
-    for drec in payload.get("dialogues", []):
-        did = drec.get("id", "<missing id>")
+    for i, drec in enumerate(_checked(payload.get("dialogues", []), list, "dialogues")):
+        path = f"dialogues[{i}]"
+        did = _checked(drec, dict, path).get("id", "<missing id>")
         turns = []
-        for t, trec in enumerate(drec.get("turns", []), start=1):
-            try:
-                ops = None
-                if "ops" in trec:
-                    ops = {s: StateOp.parse(o) for s, o in trec["ops"].items()}
-                turn = Turn(trec["system"], trec["user"], dict(trec["belief"]), ops)
-            except (KeyError, TypeError) as e:
-                raise ValidationError(f"dialogue {did!r} turn {t}: malformed record ({e})")
-            turns.append(turn)
+        for t, trec in enumerate(_checked(drec.get("turns", []), list, f"{path}.turns")):
+            tpath = f"{path}.turns[{t}]"
+            _checked(trec, dict, tpath)
+            for key, kind in (("system", str), ("user", str), ("belief", dict)):
+                if key not in trec:
+                    raise ValidationError(f"corpus {tpath} lacks {key}")
+                _checked(trec[key], kind, f"{tpath}.{key}")
+            ops = None
+            if "ops" in trec:
+                ops = {s: StateOp.parse(_checked(o, str, f"{tpath}.ops.{s}"))
+                       for s, o in _checked(trec["ops"], dict, f"{tpath}.ops").items()}
+            turns.append(Turn(trec["system"], trec["user"], dict(trec["belief"]), ops))
         dialogue = Dialogue(did, turns)
         dialogue.validate(ontology)
         dialogues.append(dialogue)

@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -278,6 +279,50 @@ class TestRejectedInput:
         rc = main(argv + [arg for item in paths.items() for arg in item])
         out = assert_one_line_error(rc, capsys, f"{flag} directory not found")
         assert "effective config" not in out  # rejected before training
+
+    def test_train_output_into_unwritable_directory(self, tmp_path, corpus_file, capsys,
+                                                   monkeypatch):
+        # tests run as root, which may write anywhere, so report the directory read-only
+        monkeypatch.setattr(os, "access", lambda path, mode: path != str(tmp_path))
+        ck = tmp_path / "m.ckpt"
+        rc = main(["train", "--corpus", corpus_file, "--out", str(ck), "--epochs", "1",
+                   "--d", "8", "--heads", "2", "--ff", "16"])
+        out = assert_one_line_error(rc, capsys, "--out directory not found or not writable")
+        assert out == "" and not ck.exists()
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda c: [1, 2], "corpus file must be an object, got list"),
+        (lambda c: c["dialogues"].append(5) or c, "corpus dialogues[8] must be an object, got int"),
+        (lambda c: {**c, "dialogues": {}}, "corpus dialogues must be a list, got dict"),
+        (lambda c: c["dialogues"][1].update(turns="hi") or c,
+         "corpus dialogues[1].turns must be a list, got str"),
+        (lambda c: c["dialogues"][0]["turns"].insert(0, None) or c,
+         "corpus dialogues[0].turns[0] must be an object, got NoneType"),
+        (lambda c: c["dialogues"][0]["turns"][0].update(system=1) or c,
+         "corpus dialogues[0].turns[0].system must be a string, got int"),
+        (lambda c: c["dialogues"][2]["turns"][0].update(user=["hi"]) or c,
+         "corpus dialogues[2].turns[0].user must be a string, got list"),
+        (lambda c: c["dialogues"][0]["turns"][0].update(belief=[]) or c,
+         "corpus dialogues[0].turns[0].belief must be an object, got list"),
+        (lambda c: c["dialogues"][0]["turns"][0].pop("user") and c,
+         "corpus dialogues[0].turns[0] lacks user"),
+        (lambda c: c["dialogues"][0]["turns"][0].update(ops=["UPDATE"]) or c,
+         "corpus dialogues[0].turns[0].ops must be an object, got list"),
+        (lambda c: c["dialogues"][0]["turns"][0].update(ops={"food": 1}) or c,
+         "corpus dialogues[0].turns[0].ops.food must be a string, got int"),
+    ], ids=["not-object", "dialogue-int", "dialogues-object", "turns-string", "turn-null",
+            "system-int", "user-list", "belief-list", "no-user", "ops-list", "op-int"])
+    @pytest.mark.parametrize("command", ["derive-ops", "eval"])
+    def test_malformed_corpus_record(self, tmp_path, corpus_file, checkpoint_file, capsys,
+                                     command, corrupt, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(corrupt(json.loads(Path(corpus_file).read_text()))))
+        out_file = tmp_path / "out.json"
+        argv = {"derive-ops": ["derive-ops", "--in", str(bad), "--out", str(out_file)],
+                "eval": ["eval", "--corpus", str(bad), "--checkpoint", checkpoint_file]}
+        rc = main(argv[command])
+        out = assert_one_line_error(rc, capsys, message)
+        assert out == "" and not out_file.exists()
 
     def test_eval_without_manifest(self, tmp_path, corpus_file, capsys):
         ck = tmp_path / "model.ckpt"

@@ -216,7 +216,9 @@ def test_tracker_loss_and_grads_bit_identical_to_chains(case, reference_chains):
             assert (g is None) == (ref_grads[name] is None), name
             if g is not None:
                 assert np.array_equal(g, ref_grads[name]), name
-    assert [tracker.predict(d, "op_gated") for d in corpus] == fused_beliefs
+    # a cold tracker on the same weights, so no turn summary made by the fused path is reused
+    cold = StateTracker(cfg, vocab, onto, tracker.params, tracker.frozen_params)
+    assert [cold.predict(d, "op_gated") for d in corpus] == fused_beliefs
 
 
 @pytest.mark.parametrize("sv_only", [False, True], ids=["joint", "sv_only"])
