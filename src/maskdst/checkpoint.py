@@ -14,18 +14,25 @@ import math
 import os
 import struct
 from dataclasses import asdict, fields
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import autodiff as ad
-from .data import Ontology, ValidationError, Vocabulary
-from .model import ModelConfig, StateTracker
+from .data import ONTOLOGY, Ontology, ValidationError, Vocabulary, check
+from .model import ModelConfig, StateTracker, init_params
 
 MAGIC = b"MDSTCKP1"
 # Settings that older manifests record, with the one value the model implements.
 RETIRED_CONFIG = {"use_positional": True, "learned_positions": False}
-MANIFEST_KEYS = ("tensors", "config", "vocab", "ontology", "ontology_hash")
-TENSOR_KEYS = ("name", "role", "shape")
+MANIFEST = {"tensors": [{"name": str, "role": str, "shape": [int]}],
+            "config": {str: object}, "vocab": [str], "ontology": ONTOLOGY, "ontology_hash": str}
+
+
+def _shapes_only(seed):
+    """Stands in for np.random.default_rng in init_params: its draws are zero-strided
+    views, so a fresh tracker's names and shapes cost no draws and no memory."""
+    return SimpleNamespace(normal=lambda loc, scale, size: np.broadcast_to(0.0, size))
 
 
 def ontology_hash(ontology: Ontology) -> str:
@@ -75,25 +82,9 @@ def _read(fh, n, path):
     return fh.read(n)
 
 
-def _check_manifest(manifest, where):
-    """A ValidationError naming the manifest if it lacks a key or a tensor entry lacks one."""
-    if not isinstance(manifest, dict):
-        raise ValidationError(f"{where} must hold a JSON object")
-    missing = [k for k in MANIFEST_KEYS if k not in manifest]
-    if missing:
-        raise ValidationError(f"{where} lacks {', '.join(missing)}")
-    if not isinstance(manifest["config"], dict) or not isinstance(manifest["tensors"], list):
-        raise ValidationError(f"{where}: config must be an object and tensors a list")
-    for i, entry in enumerate(manifest["tensors"]):
-        missing = [k for k in TENSOR_KEYS if not isinstance(entry, dict) or k not in entry]
-        if missing:
-            raise ValidationError(f"{where}: tensor entry {i} lacks {', '.join(missing)}")
-
-
 def load_checkpoint(path) -> StateTracker:
     with open(manifest_path(path), encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    _check_manifest(manifest, manifest_path(path))
+        manifest = check(json.load(fh), MANIFEST, manifest_path(path))
     entries = {t["name"]: t for t in manifest["tensors"]}
 
     with open(path, "rb") as fh:
@@ -131,6 +122,12 @@ def load_checkpoint(path) -> StateTracker:
                               + ", ".join(f"{k}={config[k]!r}" for k in unknown))
     cfg = ModelConfig(**config)
     vocab = Vocabulary(manifest["vocab"])
+    for role, got, want in zip(("trainable", "frozen"), (params, frozen),
+                               init_params(cfg, len(vocab), _shapes_only)):
+        diff = {(n, t.shape) for n, t in got.items()} ^ {(n, t.shape) for n, t in want.items()}
+        if diff:
+            raise ValidationError(f"checkpoint {path}: {role} tensor {min(diff)[0]!r} "
+                                  "disagrees with its config and vocabulary")
     ontology = Ontology(manifest["ontology"])
     stored_hash = manifest["ontology_hash"]
     if stored_hash != ontology_hash(ontology):

@@ -13,6 +13,7 @@ import os
 import sys
 from dataclasses import asdict, fields
 
+from . import autodiff as ad
 from . import checkpoint as ckpt
 from . import data, fusion, training
 from .data import GenShape, ValidationError
@@ -33,12 +34,9 @@ def _load_config_file(path):
         raise ValidationError(f"config file not found: {path}")
     with open(path, encoding="utf-8") as fh:
         cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ValidationError(f"config file {path} must hold a JSON object")
-    unknown = sorted(set(cfg) - {f.name for f in fields(ModelConfig) + fields(TrainConfig)})
-    if unknown:
-        raise ValidationError(f"config file {path} has unknown keys: {', '.join(unknown)}")
-    return cfg
+    # every key optional and of any type: check_config checks the values
+    keys = {f"{f.name}?": object for f in fields(ModelConfig) + fields(TrainConfig)}
+    return data.check(cfg, keys, f"config file {path}")
 
 
 def _effective(args, file_cfg, defaults):
@@ -94,21 +92,14 @@ def cmd_derive_ops(args):
 def cmd_repair(args):
     _require_file(args.infile, "corpus file")
     ontology, dialogues = data.load_corpus(args.infile)
-    repaired = []
-    merged = {}
-    for d in dialogues:
-        fixed, report = data.repair_inheritance(d, ontology, args.four_class)
-        repaired.append(fixed)
-        for slot, entry in report.per_slot.items():
-            agg = merged.setdefault(slot, {"total": 0, "modified": 0})
-            agg["total"] += entry["total"]
-            agg["modified"] += entry["modified"]
+    report = data.RepairReport()
+    repaired = [data.repair_inheritance(d, ontology, args.four_class, report)[0]
+                for d in dialogues]
     data.save_corpus(ontology, repaired, args.out)
     with open(args.report, "w", encoding="utf-8") as fh:
-        json.dump(merged, fh, indent=1)
+        json.dump(report.per_slot, fh, indent=1)
         fh.write("\n")
-    total_mod = sum(e["modified"] for e in merged.values())
-    print(f"repaired {total_mod} (slot, turn) pairs -> {args.out}")
+    print(f"repaired {report.modified_count} (slot, turn) pairs -> {args.out}")
     return EXIT_OK
 
 
@@ -125,7 +116,7 @@ def cmd_train(args):
     tracker, curve = training.train(ontology, dialogues, model_cfg, train_cfg)
     ckpt.save_checkpoint(tracker, args.out)
     if args.curve:
-        training.write_loss_curve(curve, args.curve)
+        training.write_csv(curve, args.curve)
     final = curve[-1]
     print(f"trained {final['epoch']} epochs, final l_joint={final['l_joint']:.4f}")
     print(f"checkpoint -> {args.out}")
@@ -178,7 +169,7 @@ def cmd_ablation(args):
     except ValueError:
         raise ValidationError(f"--seeds must be comma-separated integers, got {args.seeds!r}")
     rows, summary = training.run_ablation(ontology, dialogues, model_cfg, train_cfg, seeds)
-    training.write_ablation_csv(rows, args.out)
+    training.write_csv(rows, args.out)
     for variant, stats in summary.items():
         if variant == "per_seed":
             continue
@@ -271,7 +262,8 @@ def main(argv=None) -> int:
     except (ValidationError, ConfigError, json.JSONDecodeError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
-    except training.NumericalError as e:
+    # every mask keeps a key per row, so a fully masked softmax row is an overflow
+    except (training.NumericalError, ad.DegenerateRowError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -19,7 +19,42 @@ RESERVED_TOKENS = (PAD, UNK, CLS, SEP)
 
 
 class ValidationError(ValueError):
-    """Corpus data violates the ontology or the file schema."""
+    """Input data violates the ontology or a file schema."""
+
+
+_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an int"}
+
+
+def check(value, schema, where: str, path: str = ""):
+    """Return `value`, or raise ValidationError naming the first path where it
+    does not match `schema`: a type; [item], a list of items; {str: item}, an
+    object with any keys; or {key: item}, an object with exactly those keys,
+    where a key ending in "?" is optional. A bool is not an int."""
+    at = f"{where} {path}" if path else where
+    kind = type(schema) if isinstance(schema, (list, dict)) else schema
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValidationError(f"{at} must be {_KINDS[kind]}, got {type(value).__name__}")
+    # below, a leaf of exactly its schema's type is valid, so it needs no call
+    if isinstance(schema, list):
+        for i, item in enumerate(value):
+            if type(item) is not schema[0]:
+                check(item, schema[0], where, f"{path}[{i}]")
+    elif isinstance(schema, dict):
+        fields = {k.rstrip("?"): item for k, item in schema.items() if k is not str}
+        missing = [k for k in schema if k is not str and k[-1] != "?" and k not in value]
+        if missing:
+            raise ValidationError(f"{at} lacks {missing[0]}")
+        unknown = [] if str in schema else sorted(set(value) - set(fields))
+        if unknown:
+            raise ValidationError(f"{at} has unknown keys: {', '.join(unknown)}")
+        for k, item in value.items():
+            sub = fields.get(k, schema.get(str))
+            if type(item) is not sub:
+                check(item, sub, where, f"{path}.{k}" if path else k)
+    return value
+
+
+ONTOLOGY = {str: [str]}  # slot -> candidate values
 
 
 class StateOp(Enum):
@@ -56,12 +91,8 @@ class Ontology:
     """
 
     def __init__(self, slots: dict):
-        if not isinstance(slots, dict):
-            raise ValidationError("ontology must be a JSON object of slot -> value list")
         self.slots = {}
-        for name, values in slots.items():
-            if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
-                raise ValidationError(f"slot {name!r} values must be a list of strings")
+        for name, values in check(slots, ONTOLOGY, "ontology").items():
             if len(set(values)) != len(values):
                 raise ValidationError(f"duplicate values in slot {name!r}")
             for sentinel in (NONE_VALUE, DONTCARE_VALUE):
@@ -115,7 +146,9 @@ class Dialogue:
 
     def validate(self, ontology: Ontology):
         for t, turn in enumerate(self.turns, start=1):
-            for slot, value in turn.belief.items():
+            # every slot holds NONE_VALUE, so an op is checked for its slot alone
+            pairs = [*turn.belief.items(), *((s, NONE_VALUE) for s in turn.ops or {})]
+            for slot, value in pairs:
                 try:
                     ontology.validate_assignment(slot, value)
                 except ValidationError as e:
@@ -272,14 +305,15 @@ class RepairReport:
 
 
 def repair_inheritance(dialogue: Dialogue, ontology: Ontology,
-                       four_class: bool = False):
+                       four_class: bool = False, report: RepairReport = None):
     """Restore slot values that vanish without an explicit removal.
 
     A non-none value at turn t-1 that becomes "none" at turn t is treated
     as a dropped annotation and re-inherited; in 4-class mode an explicit
-    DELETE annotation on the turn legitimizes the reversion.
+    DELETE annotation on the turn legitimizes the reversion. Counts go into
+    `report` (a new one if None), which is returned with the dialogue.
     """
-    report = RepairReport()
+    report = RepairReport() if report is None else report
     turns = [Turn(t.system, t.user, dict(t.belief), t.ops) for t in dialogue.turns]
     for t in range(1, len(turns)):
         prev_belief = turns[t - 1].belief
@@ -445,41 +479,20 @@ def corpus_to_dict(ontology: Ontology, dialogues) -> dict:
     return out
 
 
-_JSON_KINDS = {dict: "an object", list: "a list", str: "a string"}
-
-
-def _checked(value, kind, path: str):
-    """Return `value`, or raise ValidationError naming its corpus path if not of `kind`."""
-    if not isinstance(value, kind):
-        raise ValidationError(f"corpus {path} must be {_JSON_KINDS[kind]}, "
-                              f"got {type(value).__name__}")
-    return value
+TURN = {"system": str, "user": str, "belief": {str: str}, "ops?": {str: str}}
+CORPUS = {"ontology": ONTOLOGY, "dialogues": [{"id": str, "turns": [TURN]}]}
 
 
 def corpus_from_dict(payload: dict):
-    _checked(payload, dict, "file")
-    try:
-        ontology = Ontology(payload["ontology"])
-    except KeyError:
-        raise ValidationError("corpus file is missing the ontology section")
+    check(payload, CORPUS, "corpus")
+    ontology = Ontology(payload["ontology"])
     dialogues = []
-    for i, drec in enumerate(_checked(payload.get("dialogues", []), list, "dialogues")):
-        path = f"dialogues[{i}]"
-        did = _checked(drec, dict, path).get("id", "<missing id>")
+    for drec in payload["dialogues"]:
         turns = []
-        for t, trec in enumerate(_checked(drec.get("turns", []), list, f"{path}.turns")):
-            tpath = f"{path}.turns[{t}]"
-            _checked(trec, dict, tpath)
-            for key, kind in (("system", str), ("user", str), ("belief", dict)):
-                if key not in trec:
-                    raise ValidationError(f"corpus {tpath} lacks {key}")
-                _checked(trec[key], kind, f"{tpath}.{key}")
-            ops = None
-            if "ops" in trec:
-                ops = {s: StateOp.parse(_checked(o, str, f"{tpath}.ops.{s}"))
-                       for s, o in _checked(trec["ops"], dict, f"{tpath}.ops").items()}
-            turns.append(Turn(trec["system"], trec["user"], dict(trec["belief"]), ops))
-        dialogue = Dialogue(did, turns)
+        for t in drec["turns"]:
+            ops = {s: StateOp.parse(o) for s, o in t["ops"].items()} if "ops" in t else None
+            turns.append(Turn(t["system"], t["user"], dict(t["belief"]), ops))
+        dialogue = Dialogue(drec["id"], turns)
         dialogue.validate(ontology)
         dialogues.append(dialogue)
     return ontology, dialogues

@@ -90,31 +90,33 @@ class DialogueOutput:
     contexts: dict       # slot -> (glob, loc, fused) [T x d]
 
 
+def init_params(cfg: ModelConfig, vocab_size: int, generator=np.random.default_rng):
+    """Fresh (trainable, frozen) tracker parameters, each set drawn from `generator(seed)`."""
+    rng = generator(cfg.seed)
+    params = {}
+    init_encoder(params, "turn", cfg, vocab_size, rng)
+    for branch in (GLOB,) if cfg.tie_paths else (GLOB, LOC):
+        fusion.init_branch(params, branch, cfg.d, cfg.ff, cfg.heads, cfg.hier_layers, rng)
+    fusion.init_gate(params, cfg.d, rng)
+    init_op_decoder(params, cfg.d, cfg.num_ops, rng)
+
+    frozen = {}
+    init_encoder(frozen, "frozen", cfg, vocab_size, generator(cfg.seed + 104729))
+    for p in frozen.values():
+        p.requires_grad = False
+    return params, frozen
+
+
 class StateTracker:
     def __init__(self, cfg: ModelConfig, vocab: Vocabulary, ontology: Ontology,
                  params=None, frozen_params=None):
+        """A fresh tracker, or one with the given (params, frozen_params) pair."""
         self.cfg = cfg
         self.vocab = vocab
         self.ontology = ontology
-        rng = np.random.default_rng(cfg.seed)
         if params is None:
-            params = {}
-            init_encoder(params, "turn", cfg, len(vocab), rng)
-            fusion.init_branch(params, GLOB, cfg.d, cfg.ff, cfg.heads,
-                               cfg.hier_layers, rng)
-            if not cfg.tie_paths:
-                fusion.init_branch(params, LOC, cfg.d, cfg.ff, cfg.heads,
-                                   cfg.hier_layers, rng)
-            fusion.init_gate(params, cfg.d, rng)
-            init_op_decoder(params, cfg.d, cfg.num_ops, rng)
+            params, frozen_params = init_params(cfg, len(vocab))
         self.params = params
-
-        if frozen_params is None:
-            frozen_rng = np.random.default_rng(cfg.seed + 104729)
-            frozen_params = {}
-            init_encoder(frozen_params, "frozen", cfg, len(vocab), frozen_rng)
-        for p in frozen_params.values():
-            p.requires_grad = False
         self.frozen_params = frozen_params
         self.catalog: SlotCatalog = encode_catalog(
             ontology, frozen_params, "frozen", cfg, vocab

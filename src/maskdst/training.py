@@ -210,11 +210,13 @@ def train(ontology: Ontology, dialogues, model_cfg: ModelConfig,
     return tracker, curve
 
 
-def write_loss_curve(curve, path):
+def write_csv(rows, path):
+    """Write dict rows (a loss curve or an ablation table) as CSV, with the
+    keys of the first row as the header."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["epoch", "l_sv", "l_sop", "l_joint"])
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
-        writer.writerows(curve)
+        writer.writerows(rows)
 
 
 # -- ablation runner -----------------------------------------------------
@@ -253,13 +255,6 @@ def run_ablation(ontology: Ontology, dialogues, model_cfg: ModelConfig,
         }
     summary["per_seed"] = per_seed
     return rows, summary
-
-
-def write_ablation_csv(rows, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["variant", "seed", "joint_accuracy"])
-        writer.writeheader()
-        writer.writerows(rows)
 
 
 # -- finite-difference gradient check ------------------------------------

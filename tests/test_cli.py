@@ -223,7 +223,7 @@ def assert_one_line_error(rc, capsys, message):
 
 class TestRejectedInput:
     @pytest.mark.parametrize("config, message", [
-        ([{"d": 8}], "must hold a JSON object"),
+        ([{"d": 8}], "must be an object, got list"),
         ({"epoch": 1}, "unknown keys: epoch"),
         ({"d": 8, "use_positional": False}, "unknown keys: use_positional"),
         ({"batch_size": 0}, "batch_size must be >= 1"),
@@ -291,7 +291,7 @@ class TestRejectedInput:
         assert out == "" and not ck.exists()
 
     @pytest.mark.parametrize("corrupt, message", [
-        (lambda c: [1, 2], "corpus file must be an object, got list"),
+        (lambda c: [1, 2], "corpus must be an object, got list"),
         (lambda c: c["dialogues"].append(5) or c, "corpus dialogues[8] must be an object, got int"),
         (lambda c: {**c, "dialogues": {}}, "corpus dialogues must be a list, got dict"),
         (lambda c: c["dialogues"][1].update(turns="hi") or c,
@@ -310,8 +310,17 @@ class TestRejectedInput:
          "corpus dialogues[0].turns[0].ops must be an object, got list"),
         (lambda c: c["dialogues"][0]["turns"][0].update(ops={"food": 1}) or c,
          "corpus dialogues[0].turns[0].ops.food must be a string, got int"),
+        (lambda c: c["dialogues"][3].update(id=[1]) or c,
+         "corpus dialogues[3].id must be a string, got list"),
+        (lambda c: c["dialogues"][0].pop("id") and c, "corpus dialogues[0] lacks id"),
+        (lambda c: c.pop("dialogues") and c, "corpus lacks dialogues"),
+        (lambda c: c["dialogues"][0]["turns"][0].update(ops={"nonslot": "UPDATE"}) or c,
+         "dialogue 'dlg-1-0000' turn 1: unknown slot 'nonslot'"),
+        (lambda c: c["dialogues"][1]["turns"][0].update(speaker="user") or c,
+         "corpus dialogues[1].turns[0] has unknown keys: speaker"),
     ], ids=["not-object", "dialogue-int", "dialogues-object", "turns-string", "turn-null",
-            "system-int", "user-list", "belief-list", "no-user", "ops-list", "op-int"])
+            "system-int", "user-list", "belief-list", "no-user", "ops-list", "op-int",
+            "id-list", "no-id", "no-dialogues", "ops-slot-not-in-ontology", "unknown-turn-key"])
     @pytest.mark.parametrize("command", ["derive-ops", "eval"])
     def test_malformed_corpus_record(self, tmp_path, corpus_file, checkpoint_file, capsys,
                                      command, corrupt, message):
@@ -358,20 +367,32 @@ class TestRejectedInput:
          "unsupported config learned_positions=True"),
         (lambda ck, man: man["config"].update(use_positional=False),
          "unsupported config use_positional=False"),
-        (lambda ck, man: man.update(replace_with=[man]), "manifest.json must hold a JSON object"),
+        (lambda ck, man: man.update(replace_with=[man]),
+         "manifest.json must be an object, got list"),
         (lambda ck, man: man.pop("tensors"), "manifest.json lacks tensors"),
         (lambda ck, man: man.pop("config"), "manifest.json lacks config"),
         (lambda ck, man: man.pop("vocab"), "manifest.json lacks vocab"),
         (lambda ck, man: man.pop("ontology"), "manifest.json lacks ontology"),
         (lambda ck, man: man.pop("ontology_hash"), "manifest.json lacks ontology_hash"),
-        (lambda ck, man: man["tensors"][0].pop("name"), "manifest.json: tensor entry 0 lacks name"),
-        (lambda ck, man: man["tensors"][0].pop("role"), "manifest.json: tensor entry 0 lacks role"),
+        (lambda ck, man: man["tensors"][0].pop("name"), "manifest.json tensors[0] lacks name"),
+        (lambda ck, man: man["tensors"][0].pop("role"), "manifest.json tensors[0] lacks role"),
         (lambda ck, man: man["tensors"][1].pop("shape"),
-         "manifest.json: tensor entry 1 lacks shape"),
+         "manifest.json tensors[1] lacks shape"),
+        (lambda ck, man: man["tensors"][2].update(name=["turn.embed"]),
+         "manifest.json tensors[2].name must be a string, got list"),
+        (lambda ck, man: man["vocab"].__setitem__(5, 5),
+         "manifest.json vocab[5] must be a string, got int"),
+        (lambda ck, man: man["vocab"].insert(4, "aardvark"),
+         "trainable tensor 'turn.embed' disagrees with its config and vocabulary"),
+        (lambda ck, man: man["config"].update(d=4),
+         "trainable tensor 'gate.b' disagrees with its config and vocabulary"),
+        (lambda ck, man: man["tensors"][0]["shape"].__setitem__(0, 8.0),
+         "manifest.json tensors[0].shape[0] must be an int, got float"),
     ], ids=["truncated", "trailing-bytes", "count", "shape", "unknown-key",
             "learned-positions", "no-positions", "manifest-not-object", "no-tensors",
             "no-config", "no-vocab", "no-ontology", "no-ontology-hash", "entry-no-name",
-            "entry-no-role", "entry-no-shape"])
+            "entry-no-role", "entry-no-shape", "name-list", "vocab-token-int",
+            "vocab-longer-than-embedding", "config-d-disagrees", "shape-entry-float"])
     def test_eval_corrupt_checkpoint(self, corpus_file, checkpoint_file, capsys,
                                      corrupt, message):
         ck = Path(checkpoint_file)
@@ -384,13 +405,27 @@ class TestRejectedInput:
         out = assert_one_line_error(rc, capsys, message)
         assert out == ""
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_eval_checkpoint_that_overflows(self, tmp_path, corpus_file, capsys):
+        """A weight near the float64 limit, as one flipped exponent bit can make it,
+        overflows a softmax row to all -inf: a numerical failure, not a traceback."""
+        ontology, dialogues = load_corpus(corpus_file)
+        tracker = StateTracker(ModelConfig(d=8, heads=2, ff=16),
+                               data.build_vocab(dialogues, ontology), ontology)
+        tracker.params["glob.wordatt.wv"].data[3, 0] = 5e307
+        ck = tmp_path / "model.ckpt"
+        ckpt.save_checkpoint(tracker, ck)
+        rc = main(["eval", "--corpus", corpus_file, "--checkpoint", str(ck)])
+        assert rc == EXIT_NUMERICAL
+        assert "numerical failure: softmax row is fully masked" in capsys.readouterr().err
+
     @pytest.mark.parametrize("slots, extra, message", [
         ({"food": ["none", "dontcare"]}, [], "slot 'food' needs two real values"),
         ({"food": ["none", "dontcare", "thai"]}, [], "slot 'food' needs two real values"),
         ({"food": ["none", "dontcare", "thai", "greek"]}, ["--min-turns", "5", "--max-turns", "2"],
          "min_turns=5, max_turns=2"),
-        (["a"], [], "ontology must be a JSON object"),
-        ({"food": "none dontcare thai"}, [], "slot 'food' values must be a list of strings"),
+        (["a"], [], "ontology must be an object, got list"),
+        ({"food": "none dontcare thai"}, [], "ontology food must be a list, got str"),
     ], ids=["no-real-value", "one-real-value", "min-above-max", "ontology-list",
             "values-string"])
     def test_gen_data_bad_generator_input(self, tmp_path, capsys, slots, extra, message):

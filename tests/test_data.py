@@ -37,6 +37,39 @@ def ontology():
     })
 
 
+SCHEMA = {"id": str, "n?": int, "tags": [str], "map": {str: [int]}}
+
+
+class TestCheck:
+    @pytest.mark.parametrize("value", [
+        {"id": "a", "tags": [], "map": {}},
+        {"id": "a", "n": 3, "tags": ["x", "y"], "map": {"k": [1, 2], "j": []}},
+    ], ids=["optional-absent", "optional-present"])
+    def test_valid_value_returned_as_is(self, value):
+        assert data.check(value, SCHEMA, "file") is value
+
+    @pytest.mark.parametrize("value, message", [
+        ([], "file must be an object, got list"),
+        ({"tags": [], "map": {}}, "file lacks id"),
+        ({"id": "a", "tags": [], "map": {}, "zz": 1, "aa": 2}, "file has unknown keys: aa, zz"),
+        ({"id": 1, "tags": [], "map": {}}, "file id must be a string, got int"),
+        ({"id": "a", "n": True, "tags": [], "map": {}}, "file n must be an int, got bool"),
+        ({"id": "a", "n": 1.0, "tags": [], "map": {}}, "file n must be an int, got float"),
+        ({"id": "a", "tags": ["x", None], "map": {}},
+         r"file tags\[1\] must be a string, got NoneType"),
+        ({"id": "a", "tags": [], "map": {"k": [1, "2"]}},
+         r"file map.k\[1\] must be an int, got str"),
+        ({"id": "a", "tags": [], "map": {"k": {}}}, "file map.k must be a list, got dict"),
+    ], ids=["root", "missing", "unknown", "string", "bool-not-int", "float-not-int",
+            "list-item", "nested-path", "object-member"])
+    def test_first_bad_path_named(self, value, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            data.check(value, SCHEMA, "file")
+
+    def test_any_value_schema(self):
+        assert data.check({"a": [None, 1.5]}, {"a?": object}, "cfg") == {"a": [None, 1.5]}
+
+
 class TestOntology:
     def test_missing_sentinel_rejected(self):
         with pytest.raises(ValidationError, match="none"):
@@ -47,10 +80,10 @@ class TestOntology:
             Ontology({"food": ["none", "dontcare", "thai", "thai"]})
 
     @pytest.mark.parametrize("slots, message", [
-        (["a"], "ontology must be a JSON object"),
-        ({"food": "none dontcare thai"}, "slot 'food' values must be a list of strings"),
-        ({"food": ("none", "dontcare", "thai")}, "slot 'food' values must be a list of strings"),
-        ({"food": ["none", "dontcare", 3]}, "slot 'food' values must be a list of strings"),
+        (["a"], "ontology must be an object, got list"),
+        ({"food": "none dontcare thai"}, r"ontology food must be a list, got str"),
+        ({"food": ("none", "dontcare", "thai")}, "ontology food must be a list, got tuple"),
+        ({"food": ["none", "dontcare", 3]}, r"ontology food\[2\] must be a string, got int"),
     ], ids=["list", "values-string", "values-tuple", "value-int"])
     def test_malformed_ontology_rejected_by_name(self, slots, message):
         with pytest.raises(ValidationError, match=message):
