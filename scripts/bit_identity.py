@@ -8,15 +8,16 @@ process (BLAS pinned to one thread) and writes the values below to
 ``<out>/values.npz``, with the checkpoint of its trained model as
 ``<out>/model.ckpt``:
 
-- for 16 model cases (``four_class`` x ``tie_paths`` x ``n_history`` in
+- for 16 model cases (``four_class`` x tied branches x ``n_history`` in
   {1, 3} x ``hier_layers`` in {1, 2}, at d=8) and the default config, on 6
   dialogues of 2-7 turns: the initial weights and catalog, then per dialogue
   the loss, the ``LossReport`` and every ``.grad`` (joint and ``sv_only``),
   and the direct and op-gated beliefs;
 - ``tiny_setup`` seeds 0-2: the same per-dialogue values;
-- for the default config and ``tie_paths=True``, on 2 dialogues of 8-10
-  turns: the no-grad ``forward`` logits of every prefix, in call order on
-  one tracker, so values reused from an earlier prefix are compared too;
+- for the default config, with separate and with tied branches, on 2
+  dialogues of 8-10 turns: the no-grad ``forward`` logits of every prefix,
+  in call order on one tracker, so values reused from an earlier prefix are
+  compared too;
 - a 3-epoch d=16 training curve, its final weights and its metrics;
 - the beliefs of that trained model after a save/load round trip.
 
@@ -25,6 +26,9 @@ process (BLAS pinned to one thread) and writes the values below to
 wrote it. It prints how many values it compared and how many differ, and
 exits 1 if any value differs or exists on one side only. Two values are
 equal when their dtype, shape and bytes are equal.
+
+A tracker with tied branches holds each ``glob.*`` tensor under its ``loc.*``
+name too, so both branches run on one set of weights.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 MODEL_CASES = [
-    dict(four_class=four, tie_paths=tie, n_history=n, hier_layers=hier)
+    dict(four_class=four, tie=tie, n_history=n, hier_layers=hier)
     for four, tie, n, hier in itertools.product([False, True], [False, True], [1, 3], [1, 2])
 ]
 MODES = ("direct", "op_gated")
@@ -53,6 +57,16 @@ def _import_from(src: Path):
     import maskdst
     if src not in Path(maskdst.__file__).resolve().parents:
         raise SystemExit(f"maskdst imported from {maskdst.__file__}, not {src}")
+
+
+def _tracker(cfg, vocab, onto, tie):
+    """A fresh tracker of `cfg`, with tied branches when `tie`."""
+    from maskdst.model import StateTracker
+    tracker = StateTracker(cfg, vocab, onto)
+    if tie:
+        for name in [n for n in tracker.params if n.startswith("glob.")]:
+            tracker.params["loc" + name[len("glob"):]] = tracker.params[name]
+    return tracker
 
 
 def _beliefs(tracker, dialogues, mode):
@@ -119,25 +133,26 @@ def run_dump(src: Path, out_dir: Path):
     _import_from(src)
     from maskdst import checkpoint, training
     from maskdst.data import GenShape, build_vocab, demo_ontology, generate_corpus
-    from maskdst.model import ModelConfig, StateTracker
+    from maskdst.model import ModelConfig
 
     out = {}
     onto = demo_ontology()
     corpus = generate_corpus(onto, 6, seed=11, shape=GenShape(min_turns=2, max_turns=7))
     vocab = build_vocab(corpus, onto)
-    configs = [("default", ModelConfig())] + [
+    configs = [("default", ModelConfig(), False)] + [
         ("case" + "-".join(f"{k}={v}" for k, v in case.items()),
-         ModelConfig(d=8, heads=2, encoder_layers=1, ff=16, seed=5, **case))
+         ModelConfig(d=8, heads=2, encoder_layers=1, ff=16, seed=5,
+                     **{k: v for k, v in case.items() if k != "tie"}), case["tie"])
         for case in MODEL_CASES
     ]
-    for key, cfg in configs:
-        _tracker_values(out, key, StateTracker(cfg, vocab, onto), corpus)
+    for key, cfg, tie in configs:
+        _tracker_values(out, key, _tracker(cfg, vocab, onto, tie), corpus)
     for seed in range(3):
         tracker, dialogue = training.tiny_setup(seed)
         _tracker_values(out, f"tiny{seed}", tracker, [dialogue])
     long = generate_corpus(onto, 2, seed=12, shape=GenShape(min_turns=8, max_turns=10))
-    for key, cfg in (("default", ModelConfig()), ("tied", ModelConfig(tie_paths=True))):
-        tracker = StateTracker(cfg, build_vocab(long, onto), onto)
+    for key, tie in (("default", False), ("tied", True)):
+        tracker = _tracker(ModelConfig(), build_vocab(long, onto), onto, tie)
         _prefix_values(out, f"prefixes/{key}", tracker, long)
 
     onto, train_set, held_out = _checkpoint_dialogues()

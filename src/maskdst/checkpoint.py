@@ -9,6 +9,7 @@ evaluate / resume time.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -24,15 +25,25 @@ from .model import ModelConfig, StateTracker, init_params
 
 MAGIC = b"MDSTCKP1"
 # Settings that older manifests record, with the one value the model implements.
-RETIRED_CONFIG = {"use_positional": True, "learned_positions": False}
-MANIFEST = {"tensors": [{"name": str, "role": str, "shape": [int]}],
+RETIRED_CONFIG = {"use_positional": True, "learned_positions": False, "tie_paths": False}
+MANIFEST = {"tensors": [{"name": str, "role": ("trainable", "frozen"), "shape": [int]}],
             "config": {str: object}, "vocab": [str], "ontology": ONTOLOGY, "ontology_hash": str}
 
 
-def _shapes_only(seed):
+def _shapes_only(limit: int, path):
     """Stands in for np.random.default_rng in init_params: its draws are zero-strided
-    views, so a fresh tracker's names and shapes cost no draws and no memory."""
-    return SimpleNamespace(normal=lambda loc, scale, size: np.broadcast_to(0.0, size))
+    views, so a fresh tracker's names and shapes cost no draws and no memory. Each draw
+    makes one tensor, so draw `limit` + 1 raises ValidationError: a config that asks
+    for more tensors than the manifest lists is rejected before it builds them all."""
+    draws = itertools.count(1)
+
+    def normal(loc, scale, size):
+        if next(draws) > limit:
+            raise ValidationError(f"checkpoint {path}: its config asks for more tensors "
+                                  "than its manifest lists")
+        return np.broadcast_to(0.0, size)
+    rng = SimpleNamespace(normal=normal)
+    return lambda seed: rng
 
 
 def ontology_hash(ontology: Ontology) -> str:
@@ -101,7 +112,7 @@ def load_checkpoint(path) -> StateTracker:
             (ndim,) = struct.unpack("<I", _read(fh, 4, path))
             shape = struct.unpack(f"<{ndim}Q", _read(fh, 8 * ndim, path))
             entry = entries.get(name)
-            if entry is None or entry["role"] not in ("trainable", "frozen"):
+            if entry is None:
                 raise ValidationError(f"checkpoint {path}: {name!r} missing from manifest")
             if list(shape) != entry["shape"]:
                 raise ValidationError(f"checkpoint {path}: {name!r} shape disagrees with manifest")
@@ -123,7 +134,7 @@ def load_checkpoint(path) -> StateTracker:
     cfg = ModelConfig(**config)
     vocab = Vocabulary(manifest["vocab"])
     for role, got, want in zip(("trainable", "frozen"), (params, frozen),
-                               init_params(cfg, len(vocab), _shapes_only)):
+                               init_params(cfg, len(vocab), _shapes_only(count, path))):
         diff = {(n, t.shape) for n, t in got.items()} ^ {(n, t.shape) for n, t in want.items()}
         if diff:
             raise ValidationError(f"checkpoint {path}: {role} tensor {min(diff)[0]!r} "

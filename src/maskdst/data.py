@@ -27,13 +27,16 @@ _KINDS = {dict: "an object", list: "a list", str: "a string", int: "an int"}
 
 def check(value, schema, where: str, path: str = ""):
     """Return `value`, or raise ValidationError naming the first path where it
-    does not match `schema`: a type; [item], a list of items; {str: item}, an
-    object with any keys; or {key: item}, an object with exactly those keys,
-    where a key ending in "?" is optional. A bool is not an int."""
+    does not match `schema`: a type; (str, ...), one of those strings; [item], a
+    list of items; {str: item}, an object with any keys; or {key: item}, an object
+    with exactly those keys, where a key ending in "?" is optional. A bool is not
+    an int."""
     at = f"{where} {path}" if path else where
-    kind = type(schema) if isinstance(schema, (list, dict)) else schema
+    kind = {list: list, dict: dict, tuple: str}.get(type(schema), schema)
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ValidationError(f"{at} must be {_KINDS[kind]}, got {type(value).__name__}")
+    if isinstance(schema, tuple) and value not in schema:
+        raise ValidationError(f"{at} must be one of {', '.join(schema)}, got {value!r}")
     # below, a leaf of exactly its schema's type is valid, so it needs no call
     if isinstance(schema, list):
         for i, item in enumerate(value):
@@ -65,13 +68,6 @@ class StateOp(Enum):
 
     def __str__(self):
         return self.value
-
-    @classmethod
-    def parse(cls, s: str) -> "StateOp":
-        try:
-            return cls[s]
-        except KeyError:
-            raise ValidationError(f"unknown state operation {s!r}")
 
 
 # Fixed class order for the operation head; DELETE only in 4-class mode.
@@ -479,7 +475,8 @@ def corpus_to_dict(ontology: Ontology, dialogues) -> dict:
     return out
 
 
-TURN = {"system": str, "user": str, "belief": {str: str}, "ops?": {str: str}}
+TURN = {"system": str, "user": str, "belief": {str: str},
+        "ops?": {str: tuple(op.value for op in StateOp)}}
 CORPUS = {"ontology": ONTOLOGY, "dialogues": [{"id": str, "turns": [TURN]}]}
 
 
@@ -490,7 +487,7 @@ def corpus_from_dict(payload: dict):
     for drec in payload["dialogues"]:
         turns = []
         for t in drec["turns"]:
-            ops = {s: StateOp.parse(o) for s, o in t["ops"].items()} if "ops" in t else None
+            ops = {s: StateOp(o) for s, o in t["ops"].items()} if "ops" in t else None
             turns.append(Turn(t["system"], t["user"], dict(t["belief"]), ops))
         dialogue = Dialogue(drec["id"], turns)
         dialogue.validate(ontology)

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import DONTCARE_VALUE, NONE_VALUE, StateOp, op_order
+from .data import StateOp, apply_state_ops, op_order
 from .encoders import init_linear
 
 DIRECT = "direct"
@@ -107,26 +107,13 @@ def decode_state(sv_argmax: dict, op_argmax: dict, values_of, prev_belief: dict,
     """Assemble a belief state from per-slot predictions.
 
     sv_argmax maps slot -> predicted value index; op_argmax maps slot ->
-    predicted operation index (ignored in DIRECT mode). `values_of` maps a
-    slot to its ontology value list. Slots resolving to "none" are left out
-    of the belief map.
+    predicted operation index (ignored in DIRECT mode, where every slot is an
+    UPDATE). `values_of` maps a slot to its ontology value list. The ops are
+    replayed on prev_belief by `apply_state_ops`, reading the predicted
+    values; slots resolving to "none" are left out of the belief map.
     """
     order = op_order(four_class)
-    belief = {}
-    for slot, value_idx in sv_argmax.items():
-        value = values_of(slot)[value_idx]
-        if mode == DIRECT:
-            chosen = value
-        else:
-            op = order[op_argmax[slot]]
-            if op is StateOp.CARRYOVER:
-                chosen = prev_belief.get(slot, NONE_VALUE)
-            elif op is StateOp.DONTCARE:
-                chosen = DONTCARE_VALUE
-            elif op is StateOp.DELETE:
-                chosen = NONE_VALUE
-            else:  # UPDATE
-                chosen = value
-        if chosen != NONE_VALUE:
-            belief[slot] = chosen
-    return belief
+    values = {slot: values_of(slot)[i] for slot, i in sv_argmax.items()}
+    ops = {slot: StateOp.UPDATE if mode == DIRECT else order[op_argmax[slot]]
+           for slot in sv_argmax}
+    return apply_state_ops(prev_belief, ops, values)

@@ -64,7 +64,6 @@ class ModelConfig:
     hier_layers: int = 1
     n_history: int = 1
     four_class: bool = False
-    tie_paths: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -78,8 +77,7 @@ class ModelConfig:
         return 4 if self.four_class else 3
 
 
-# Parameter prefixes for the two branches; with tie_paths both resolve to
-# the global branch so the mask-equivalence property is testable.
+# Parameter prefixes of the two branches.
 GLOB, LOC = "glob", "loc"
 
 
@@ -95,7 +93,7 @@ def init_params(cfg: ModelConfig, vocab_size: int, generator=np.random.default_r
     rng = generator(cfg.seed)
     params = {}
     init_encoder(params, "turn", cfg, vocab_size, rng)
-    for branch in (GLOB,) if cfg.tie_paths else (GLOB, LOC):
+    for branch in (GLOB, LOC):
         fusion.init_branch(params, branch, cfg.d, cfg.ff, cfg.heads, cfg.hier_layers, rng)
     fusion.init_gate(params, cfg.d, rng)
     init_op_decoder(params, cfg.d, cfg.num_ops, rng)
@@ -126,9 +124,6 @@ class StateTracker:
 
     # -- helpers ---------------------------------------------------------
 
-    def _branch_prefix(self, branch: str) -> str:
-        return GLOB if self.cfg.tie_paths else branch
-
     def zero_grads(self):
         for p in self.params.values():
             p.grad = None
@@ -140,8 +135,7 @@ class StateTracker:
         cfg = self.cfg
         enc = encode_turn(tokenize_turn(turn.system, turn.user, self.vocab, cfg.max_turn_tokens),
                           self.params, "turn", cfg)
-        return tuple(fusion.word_attention(self.params, self._branch_prefix(branch),
-                                           slot_queries, enc, cfg.heads)
+        return tuple(fusion.word_attention(self.params, branch, slot_queries, enc, cfg.heads)
                      for branch in (GLOB, LOC))
 
     def _word_summaries(self, turns, slot_queries):
@@ -186,14 +180,11 @@ class StateTracker:
         for j, slot in enumerate(slots):
             ctx = {}
             for branch, mask in ((GLOB, glob_mask), (LOC, loc_mask)):
-                prefix = self._branch_prefix(branch)
-                word_seq = branch_word[branch][j]  # T x d
                 hier_out = fusion.masked_hier_transform(
-                    self.params, prefix, word_seq, mask, cfg.heads, cfg.hier_layers
+                    self.params, branch, branch_word[branch][j], mask, cfg.heads, cfg.hier_layers
                 )
                 ctx[branch] = fusion.slot_context_all(
-                    self.params, prefix, self.catalog.slot_vecs[slot], hier_out,
-                    mask, cfg.heads,
+                    self.params, branch, self.catalog.slot_vecs[slot], hier_out, mask, cfg.heads,
                 )
             fused, _gate = fusion.fuse(self.params, ctx[GLOB], ctx[LOC])
             sv_logits[slot] = distance_logits(fused, self.catalog.value_mats[slot])

@@ -31,6 +31,8 @@ from .model import ConfigError, ModelConfig, StateTracker, check_config
 
 JOINT_MODE = "JOINT"
 SV_ONLY_MODE = "SV_ONLY"
+# Global gradient-norm bound that train() gives Adam.
+CLIP_NORM = 1.0
 
 
 class NumericalError(RuntimeError):
@@ -42,7 +44,6 @@ class TrainConfig:
     epochs: int = 40
     batch_size: int = 8
     lr: float = 3e-3
-    clip_norm: float = 1.0
     seed: int = 0
     loss_mode: str = JOINT_MODE
 
@@ -176,7 +177,7 @@ def train(ontology: Ontology, dialogues, model_cfg: ModelConfig,
         raise ValidationError("training corpus is empty")
     vocab = vocab or build_vocab(dialogues, ontology)
     tracker = StateTracker(model_cfg, vocab, ontology)
-    opt = Adam(tracker.params, train_cfg.lr, clip_norm=train_cfg.clip_norm)
+    opt = Adam(tracker.params, train_cfg.lr, clip_norm=CLIP_NORM)
     order_rng = random.Random(train_cfg.seed)
     sv_only = train_cfg.loss_mode == SV_ONLY_MODE
 

@@ -14,6 +14,8 @@
   decoder emitted one probability vector per turn, scored by picking the
   gold probability of each turn, as it did before both heads shared
   ``nll_from_logits``.
+- ``tie_branches``: one set of weights for both fusion branches, so that
+  they differ only in their masks.
 """
 
 from __future__ import annotations
@@ -140,6 +142,14 @@ def op_decoder_step(params, c_loc: Tensor, state: OpDecoderState):
     return OpDistribution(probs=probs), OpDecoderState(hidden=new_h[0])
 
 
+def tie_branches(tracker: StateTracker) -> StateTracker:
+    """Put each ``glob.*`` tensor of `tracker` under its ``loc.*`` name too, so the
+    local branch runs on the global branch's weights; returns the tracker."""
+    for name in [n for n in tracker.params if n.startswith(f"{GLOB}.")]:
+        tracker.params[LOC + name[len(GLOB):]] = tracker.params[name]
+    return tracker
+
+
 @dataclass
 class PerTurnOutput:
     sv_logits: dict      # slot -> Tensor [T x |v_s|]
@@ -168,10 +178,9 @@ class PerTurnOpTracker(StateTracker):
 
         # per-branch word-level slot summaries: [J x T x d]
         branch_word = {}
-        for branch, _ in ((GLOB, glob_mask), (LOC, loc_mask)):
-            prefix = self._branch_prefix(branch)
+        for branch in (GLOB, LOC):
             per_turn = [
-                fusion.word_attention(self.params, prefix, slot_queries, enc, cfg.heads)
+                fusion.word_attention(self.params, branch, slot_queries, enc, cfg.heads)
                 for enc in encodings
             ]
             stacked = ad.stack(per_turn, axis=0)            # T x J x d
@@ -183,13 +192,12 @@ class PerTurnOpTracker(StateTracker):
         for j, slot in enumerate(slots):
             ctx = {}
             for branch, mask in ((GLOB, glob_mask), (LOC, loc_mask)):
-                prefix = self._branch_prefix(branch)
                 word_seq = branch_word[branch][j]  # T x d
                 hier_out = fusion.masked_hier_transform(
-                    self.params, prefix, word_seq, mask, cfg.heads, cfg.hier_layers
+                    self.params, branch, word_seq, mask, cfg.heads, cfg.hier_layers
                 )
                 ctx[branch] = fusion.slot_context_all(
-                    self.params, prefix, self.catalog.slot_vecs[slot], hier_out,
+                    self.params, branch, self.catalog.slot_vecs[slot], hier_out,
                     mask, cfg.heads,
                 )
             fused, _gate = fusion.fuse(self.params, ctx[GLOB], ctx[LOC])

@@ -36,7 +36,7 @@ from maskdst.training import (
 )
 from maskdst.data import build_vocab
 
-from reference_chains import slot_value_dist
+from reference_chains import slot_value_dist, tie_branches
 
 
 def report(name, detail=""):
@@ -91,8 +91,8 @@ def test_criterion_3_wide_local_window_equals_full_prefix():
     dialogues = generate_corpus(onto, 50, seed=77)
     vocab = build_vocab(dialogues, onto)
     cfg = ModelConfig(d=8, heads=2, encoder_layers=1, ff=16, hier_layers=1,
-                      n_history=10, tie_paths=True, seed=0)
-    tracker = StateTracker(cfg, vocab, onto)
+                      n_history=10, seed=0)
+    tracker = tie_branches(StateTracker(cfg, vocab, onto))
     worst = 0.0
     for d in dialogues:
         out = tracker.forward(d, with_ops=False)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from maskdst import checkpoint as ckpt
-from maskdst import data, training
+from maskdst import data, encoders, training
 from maskdst.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from maskdst.data import demo_ontology, generate_corpus, load_corpus, save_corpus
 from maskdst.model import ModelConfig, StateTracker
@@ -234,11 +234,12 @@ class TestRejectedInput:
         ({"four_class": 1, "epochs": 1}, "four_class must be bool, got 1"),
         ({"epochs": 1.5}, "epochs must be int, got 1.5"),
         ({"lr": "0.1"}, "lr must be float, got '0.1'"),
-        ({"clip_norm": "1"}, "clip_norm must be float, got '1'"),
+        ({"clip_norm": "1"}, "unknown keys: clip_norm"),
         ({"loss_mode": 1}, "loss_mode must be str, got 1"),
+        ({"tie_paths": False}, "unknown keys: tie_paths"),
     ], ids=["list", "unknown-key", "key-train-ignores", "batch-size-0", "max-turn-tokens-2",
             "d-string", "d-float", "heads-bool", "four-class-int", "epochs-float", "lr-string",
-            "clip-norm-string", "loss-mode-int"])
+            "clip-norm-string", "loss-mode-int", "tie-paths"])
     def test_bad_config_file(self, tmp_path, corpus_file, capsys, config, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -318,9 +319,13 @@ class TestRejectedInput:
          "dialogue 'dlg-1-0000' turn 1: unknown slot 'nonslot'"),
         (lambda c: c["dialogues"][1]["turns"][0].update(speaker="user") or c,
          "corpus dialogues[1].turns[0] has unknown keys: speaker"),
+        (lambda c: c["dialogues"][0]["turns"][0].update(ops={"restaurant-food": "ADD"}) or c,
+         "corpus dialogues[0].turns[0].ops.restaurant-food must be one of "
+         "CARRYOVER, DONTCARE, UPDATE, DELETE, got 'ADD'"),
     ], ids=["not-object", "dialogue-int", "dialogues-object", "turns-string", "turn-null",
             "system-int", "user-list", "belief-list", "no-user", "ops-list", "op-int",
-            "id-list", "no-id", "no-dialogues", "ops-slot-not-in-ontology", "unknown-turn-key"])
+            "id-list", "no-id", "no-dialogues", "ops-slot-not-in-ontology", "unknown-turn-key",
+            "op-unknown"])
     @pytest.mark.parametrize("command", ["derive-ops", "eval"])
     def test_malformed_corpus_record(self, tmp_path, corpus_file, checkpoint_file, capsys,
                                      command, corrupt, message):
@@ -367,6 +372,8 @@ class TestRejectedInput:
          "unsupported config learned_positions=True"),
         (lambda ck, man: man["config"].update(use_positional=False),
          "unsupported config use_positional=False"),
+        (lambda ck, man: man["config"].update(tie_paths=True),
+         "unsupported config tie_paths=True"),
         (lambda ck, man: man.update(replace_with=[man]),
          "manifest.json must be an object, got list"),
         (lambda ck, man: man.pop("tensors"), "manifest.json lacks tensors"),
@@ -388,11 +395,14 @@ class TestRejectedInput:
          "trainable tensor 'gate.b' disagrees with its config and vocabulary"),
         (lambda ck, man: man["tensors"][0]["shape"].__setitem__(0, 8.0),
          "manifest.json tensors[0].shape[0] must be an int, got float"),
+        (lambda ck, man: man["tensors"][3].update(role="optimizer"),
+         "manifest.json tensors[3].role must be one of trainable, frozen, got 'optimizer'"),
     ], ids=["truncated", "trailing-bytes", "count", "shape", "unknown-key",
-            "learned-positions", "no-positions", "manifest-not-object", "no-tensors",
-            "no-config", "no-vocab", "no-ontology", "no-ontology-hash", "entry-no-name",
-            "entry-no-role", "entry-no-shape", "name-list", "vocab-token-int",
-            "vocab-longer-than-embedding", "config-d-disagrees", "shape-entry-float"])
+            "learned-positions", "no-positions", "tied-paths", "manifest-not-object",
+            "no-tensors", "no-config", "no-vocab", "no-ontology", "no-ontology-hash",
+            "entry-no-name", "entry-no-role", "entry-no-shape", "name-list", "vocab-token-int",
+            "vocab-longer-than-embedding", "config-d-disagrees", "shape-entry-float",
+            "role-unknown"])
     def test_eval_corrupt_checkpoint(self, corpus_file, checkpoint_file, capsys,
                                      corrupt, message):
         ck = Path(checkpoint_file)
@@ -404,6 +414,27 @@ class TestRejectedInput:
         rc = main(["eval", "--corpus", corpus_file, "--checkpoint", str(ck)])
         out = assert_one_line_error(rc, capsys, message)
         assert out == ""
+
+    def test_rejected_layer_count_builds_as_many_blocks_at_any_count(
+            self, corpus_file, checkpoint_file, capsys, monkeypatch):
+        """A manifest whose config asks for more encoder layers than its tensors hold
+        is rejected after building as many blocks for 2,000 layers as for 20,000."""
+        man_path = Path(ckpt.manifest_path(checkpoint_file))
+        manifest = json.loads(man_path.read_text())
+        built = []
+        init_block = encoders.init_block
+        monkeypatch.setattr(encoders, "init_block",
+                            lambda params, prefix, *rest: built.append(prefix)
+                            or init_block(params, prefix, *rest))
+        counts = []
+        for layers in (2000, 20000):
+            built.clear()
+            manifest["config"]["encoder_layers"] = layers
+            man_path.write_text(json.dumps(manifest))
+            rc = main(["eval", "--corpus", corpus_file, "--checkpoint", checkpoint_file])
+            assert_one_line_error(rc, capsys, "asks for more tensors than its manifest lists")
+            counts.append(len(built))
+        assert counts[0] == counts[1] < len(manifest["tensors"])
 
     @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
     def test_eval_checkpoint_that_overflows(self, tmp_path, corpus_file, capsys):
@@ -489,8 +520,9 @@ class TestCheckpointRoundTrip:
         assert preds_a == preds_b
 
     def test_manifest_with_retired_settings_loads_identically(self, tmp_path):
-        """Older manifests record use_positional and learned_positions; their one
-        supported value (sinusoidal positions) is dropped on load."""
+        """Older manifests record use_positional, learned_positions and tie_paths;
+        their one supported value (sinusoidal positions, separate branch weights)
+        is dropped on load."""
         onto = demo_ontology()
         corpus = generate_corpus(onto, 4, seed=5)
         tracker = StateTracker(ModelConfig(d=8, heads=2, ff=16, four_class=True),
@@ -499,7 +531,7 @@ class TestCheckpointRoundTrip:
         ckpt.save_checkpoint(tracker, path)
         man_path = Path(ckpt.manifest_path(path))
         manifest = json.loads(man_path.read_text())
-        manifest["config"].update(use_positional=True, learned_positions=False)
+        manifest["config"].update(use_positional=True, learned_positions=False, tie_paths=False)
         man_path.write_text(json.dumps(manifest))
         loaded = ckpt.load_checkpoint(path)
         assert loaded.cfg == tracker.cfg

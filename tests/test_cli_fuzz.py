@@ -50,7 +50,7 @@ CONFIG_DEFAULTS = {**MODEL_DEFAULTS, **asdict(TrainConfig())}
 BASE_CONFIG = {"d": 8, "heads": 2, "ff": 16, "encoder_layers": 1, "hier_layers": 1,
                "n_history": 1, "four_class": False, "epochs": 1, "batch_size": 2,
                "lr": 0.001, "seed": 0, "loss_mode": "JOINT"}
-SHAPING = ("d", "ff", "encoder_layers", "hier_layers", "four_class", "tie_paths")
+SHAPING = ("d", "ff", "encoder_layers", "hier_layers", "four_class")
 
 
 # -- mutators ------------------------------------------------------------

@@ -355,5 +355,9 @@ class TestCorpusIO:
 
 
 def test_state_op_serialization_round_trip():
+    ontology = Ontology({"food": [NONE_VALUE, DONTCARE_VALUE, "thai"]})
     for op in StateOp:
-        assert StateOp.parse(str(op)) is op
+        turn = {"system": "", "user": "hi", "belief": {}, "ops": {"food": str(op)}}
+        payload = {"ontology": ontology.to_dict(), "dialogues": [{"id": "d", "turns": [turn]}]}
+        _, (dialogue,) = data.corpus_from_dict(payload)
+        assert dialogue.turns[0].ops["food"] is op

@@ -184,9 +184,17 @@ def loss_and_grads(tracker, dialogue, sv_only=False):
 
 
 MODEL_CASES = [
-    dict(four_class=four, tie_paths=tie, n_history=n, hier_layers=hier)
+    dict(four_class=four, tie=tie, n_history=n, hier_layers=hier)
     for four, tie, n, hier in itertools.product([False, True], [False, True], [1, 3], [1, 2])
 ]
+
+
+def case_tracker(case, vocab, onto, tracker_class=StateTracker):
+    """The d=8 tracker of a MODEL_CASES entry, its branches tied when ``case["tie"]``."""
+    settings = {k: v for k, v in case.items() if k != "tie"}
+    cfg = ModelConfig(d=D, heads=2, encoder_layers=1, ff=16, seed=5, **settings)
+    tracker = tracker_class(cfg, vocab, onto)
+    return ref.tie_branches(tracker) if case["tie"] else tracker
 
 
 @pytest.mark.parametrize("case", MODEL_CASES,
@@ -195,13 +203,12 @@ def test_tracker_loss_and_grads_bit_identical_to_chains(case, reference_chains):
     onto = demo_ontology()
     corpus = generate_corpus(onto, 3, seed=11, shape=GenShape(min_turns=3, max_turns=5))
     vocab = build_vocab(corpus, onto)
-    cfg = ModelConfig(d=D, heads=2, encoder_layers=1, ff=16, seed=5, **case)
-    tracker = StateTracker(cfg, vocab, onto)
+    tracker = case_tracker(case, vocab, onto)
     fused = [loss_and_grads(tracker, d) for d in corpus]
     fused_beliefs = [tracker.predict(d, "op_gated") for d in corpus]
 
     reference_chains()
-    reference_tracker = StateTracker(cfg, vocab, onto)
+    reference_tracker = StateTracker(tracker.cfg, vocab, onto)
     for slot in onto.slot_names:
         assert np.array_equal(tracker.catalog.slot_vecs[slot],
                               reference_tracker.catalog.slot_vecs[slot])
@@ -217,7 +224,7 @@ def test_tracker_loss_and_grads_bit_identical_to_chains(case, reference_chains):
             if g is not None:
                 assert np.array_equal(g, ref_grads[name]), name
     # a cold tracker on the same weights, so no turn summary made by the fused path is reused
-    cold = StateTracker(cfg, vocab, onto, tracker.params, tracker.frozen_params)
+    cold = StateTracker(tracker.cfg, vocab, onto, tracker.params, tracker.frozen_params)
     assert [cold.predict(d, "op_gated") for d in corpus] == fused_beliefs
 
 
@@ -228,9 +235,8 @@ def test_tracker_bit_identical_to_per_turn_op_head(case, sv_only):
     onto = demo_ontology()
     corpus = generate_corpus(onto, 3, seed=11, shape=GenShape(min_turns=3, max_turns=5))
     vocab = build_vocab(corpus, onto)
-    cfg = ModelConfig(d=D, heads=2, encoder_layers=1, ff=16, seed=5, **case)
-    tracker = StateTracker(cfg, vocab, onto)
-    oracle = ref.PerTurnOpTracker(cfg, vocab, onto)
+    tracker = case_tracker(case, vocab, onto)
+    oracle = case_tracker(case, vocab, onto, ref.PerTurnOpTracker)
     for d in corpus:
         loss, report, grads = loss_and_grads(tracker, d, sv_only)
         ref_loss, ref_report, ref_grads = loss_and_grads(oracle, d, sv_only)

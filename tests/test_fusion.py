@@ -16,7 +16,7 @@ from maskdst.fusion import (
     word_attention,
 )
 from maskdst.model import ModelConfig, StateTracker
-from reference_chains import FULL_PREFIX, LAST_N, slot_context
+from reference_chains import FULL_PREFIX, LAST_N, slot_context, tie_branches
 
 NEG = ad.NEG_INF
 
@@ -281,23 +281,24 @@ class TestFuse:
 
 
 class TestPathEquivalenceAndCausality:
-    def build_tracker(self, n_history, tie_paths, max_turns=4):
+    def build_tracker(self, n_history, tie, max_turns=4):
         onto = demo_ontology()
         corpus = generate_corpus(onto, 6, seed=21)
         vocab = build_vocab(corpus, onto)
         cfg = ModelConfig(d=8, heads=2, encoder_layers=1, ff=16, hier_layers=1,
-                          n_history=n_history, tie_paths=tie_paths, seed=5)
-        return StateTracker(cfg, vocab, onto), corpus
+                          n_history=n_history, seed=5)
+        tracker = StateTracker(cfg, vocab, onto)
+        return tie_branches(tracker) if tie else tracker, corpus
 
     def test_tied_paths_with_wide_history_are_equal(self):
-        tracker, corpus = self.build_tracker(n_history=10, tie_paths=True)
+        tracker, corpus = self.build_tracker(n_history=10, tie=True)
         for d in corpus[:3]:
             out = tracker.forward(d, with_ops=False)
             for slot, (glob, loc, _fused) in out.contexts.items():
                 assert np.abs(glob.data - loc.data).max() < 1e-9
 
     def test_fused_context_causal_bitwise(self):
-        tracker, corpus = self.build_tracker(n_history=1, tie_paths=False)
+        tracker, corpus = self.build_tracker(n_history=1, tie=False)
         d = next(x for x in corpus if len(x.turns) >= 3)
         out_a = tracker.forward(d, with_ops=False)
         modified = Dialogue(d.id, [

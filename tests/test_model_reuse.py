@@ -18,6 +18,7 @@ from maskdst import model
 from maskdst.data import Dialogue, GenShape, build_vocab, demo_ontology, generate_corpus
 from maskdst.model import ModelConfig, StateTracker
 from maskdst.training import Adam
+from reference_chains import tie_branches
 from test_fused_ops import MODEL_CASES
 
 
@@ -35,12 +36,14 @@ def encode_calls(monkeypatch):
     return count
 
 
-def make_tracker(**case):
-    """A d=8 tracker and the 2 dialogues of 5-7 turns its vocabulary is built from."""
+def make_tracker(tie=False, **settings):
+    """A d=8 tracker, its branches tied when `tie`, and the 2 dialogues of 5-7
+    turns its vocabulary is built from."""
     onto = demo_ontology()
     corpus = generate_corpus(onto, 2, seed=11, shape=GenShape(min_turns=5, max_turns=7))
-    cfg = ModelConfig(d=8, heads=2, encoder_layers=1, ff=16, seed=5, **case)
-    return StateTracker(cfg, build_vocab(corpus, onto), onto), corpus
+    cfg = ModelConfig(d=8, heads=2, encoder_layers=1, ff=16, seed=5, **settings)
+    tracker = StateTracker(cfg, build_vocab(corpus, onto), onto)
+    return tie_branches(tracker) if tie else tracker, corpus
 
 
 def cold(tracker):
