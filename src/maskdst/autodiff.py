@@ -134,6 +134,8 @@ def parameter(x) -> Tensor:
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum grad down to `shape`, undoing numpy broadcasting."""
+    if grad.shape == shape:
+        return grad
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for axis, extent in enumerate(shape):
@@ -183,21 +185,6 @@ def mul(a, b) -> Tensor:
     return Tensor(out, _parents=(a, b), _backward=bwd)
 
 
-def div(a, b) -> Tensor:
-    if not isinstance(a, Tensor):
-        a = Tensor(a)
-    if not isinstance(b, Tensor):
-        b = Tensor(b)
-    out = a.data / b.data
-
-    def bwd(g):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
-        return ga, gb
-
-    return Tensor(out, _parents=(a, b), _backward=bwd)
-
-
 # -- matmul -------------------------------------------------------------
 
 def _check_matmul(a: np.ndarray, b: np.ndarray) -> None:
@@ -216,32 +203,16 @@ def matmul(a, b) -> Tensor:
     out = a.data @ b.data
 
     def bwd(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-        return ga, gb
+        return _matmul_grads(a, b, g)
 
     return Tensor(out, _parents=(a, b), _backward=bwd)
 
 
-# -- reductions ---------------------------------------------------------
-
-def tsum(a, axis=None, keepdims=False) -> Tensor:
-    a = as_tensor(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        g_ = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(g_, a.shape).copy(),)
-
-    return Tensor(out, _parents=(a,), _backward=bwd)
-
-
-def tmean(a, axis=None, keepdims=False) -> Tensor:
-    a = as_tensor(a)
-    n = a.size if axis is None else a.shape[axis]
-    return tsum(a, axis=axis, keepdims=keepdims) * (1.0 / n)
+def _matmul_grads(x, w, g):
+    """The gradients ``x @ w`` sends to x and to w, each None unless it requires grad."""
+    gx = _unbroadcast(g @ w.data.swapaxes(-1, -2), x.shape) if x.requires_grad else None
+    gw = _unbroadcast(x.data.swapaxes(-1, -2) @ g, w.shape) if w.requires_grad else None
+    return gx, gw
 
 
 # -- elementwise nonlinearities -----------------------------------------
@@ -262,46 +233,6 @@ def tanh(a) -> Tensor:
 
     def bwd(g):
         return (g * (1.0 - out * out),)
-
-    return Tensor(out, _parents=(a,), _backward=bwd)
-
-
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    out = 1.0 / (1.0 + np.exp(-a.data))
-
-    def bwd(g):
-        return (g * out * (1.0 - out),)
-
-    return Tensor(out, _parents=(a,), _backward=bwd)
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.exp(a.data)
-
-    def bwd(g):
-        return (g * out,)
-
-    return Tensor(out, _parents=(a,), _backward=bwd)
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.log(a.data)
-
-    def bwd(g):
-        return (g / a.data,)
-
-    return Tensor(out, _parents=(a,), _backward=bwd)
-
-
-def sqrt(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.sqrt(a.data)
-
-    def bwd(g):
-        return (g * 0.5 / out,)
 
     return Tensor(out, _parents=(a,), _backward=bwd)
 
@@ -356,7 +287,10 @@ def getitem(a, idx) -> Tensor:
 
     def bwd(g):
         ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
+        if type(idx) in (int, slice):
+            ga[idx] += g  # basic indexing addresses each element once
+        else:
+            np.add.at(ga, idx, g)
         return (ga,)
 
     return Tensor(out, _parents=(a,), _backward=bwd)
@@ -366,7 +300,6 @@ def getitem(a, idx) -> Tensor:
 Tensor.__add__ = add
 Tensor.__sub__ = sub
 Tensor.__mul__ = mul
-Tensor.__truediv__ = div
 Tensor.__matmul__ = matmul
 Tensor.__getitem__ = getitem
 
@@ -413,29 +346,18 @@ def _as_mask(mask) -> np.ndarray:
     return mask.data if isinstance(mask, Tensor) else np.asarray(mask, dtype=np.float64)
 
 
-def _softmax_node(logits: Tensor, z: np.ndarray) -> Tensor:
-    out = _softmax_rows(z)
+def softmax(logits) -> Tensor:
+    """Softmax along the last axis; -inf entries come out exactly 0.
+
+    A row of only -inf (a fully masked row) raises rather than emitting NaN.
+    """
+    logits = as_tensor(logits)
+    out = _softmax_rows(logits.data)
 
     def bwd(g):
         return (_softmax_grad(g, out),)
 
     return Tensor(out, _parents=(logits,), _backward=bwd)
-
-
-def masked_softmax(logits, mask) -> Tensor:
-    """Softmax(logits + mask) along the last axis.
-
-    `mask` entries are 0 (attendable) or -inf (blocked); -inf positions
-    come out exactly 0. A fully-masked row raises rather than emitting NaN.
-    """
-    logits = as_tensor(logits)
-    return _softmax_node(logits, logits.data + _as_mask(mask))
-
-
-def softmax(logits) -> Tensor:
-    """Softmax along the last axis; a row of only -inf raises as in masked_softmax."""
-    logits = as_tensor(logits)
-    return _softmax_node(logits, logits.data)
 
 
 # -- fused nodes ----------------------------------------------------------
@@ -445,7 +367,11 @@ def softmax(logits) -> Tensor:
 # docstring), so values and gradients are bit-identical to that chain.
 # Where the chain sends two gradient terms to the same input, the node
 # lists that input once per term in its parents, so ``backward`` adds the
-# terms one at a time in the chain's order.
+# terms one at a time in the chain's order. Parents follow the order in
+# which the chain's expression names its inputs, so the tape walk reaches
+# the inputs, and sums the terms of inputs shared with other nodes, in the
+# chain's order too (``tests/test_fused_ops.py`` checks both, op by op and
+# in the whole tracker).
 
 def linear(x, w, b) -> Tensor:
     """``x @ w + b``: the chain matmul, then add."""
@@ -456,9 +382,7 @@ def linear(x, w, b) -> Tensor:
 
     def bwd(g):
         gb = _unbroadcast(g, b.shape)
-        gp = _unbroadcast(g, prod.shape)
-        gx = _unbroadcast(gp @ np.swapaxes(w.data, -1, -2), x.shape) if x.requires_grad else None
-        gw = _unbroadcast(np.swapaxes(x.data, -1, -2) @ gp, w.shape) if w.requires_grad else None
+        gx, gw = _matmul_grads(x, w, _unbroadcast(g, prod.shape))
         return gx, gw, gb
 
     return Tensor(out, _parents=(x, w, b), _backward=bwd)
@@ -541,34 +465,186 @@ def attention(query, keys, wq, wk, wv, wo, heads: int, mask=None) -> Tensor:
     out = merged @ wo.data
 
     def bwd(g):
-        g_wo = np.swapaxes(merged, -1, -2) @ g if wo.requires_grad else None
-        g_merged = g @ np.swapaxes(wo.data, -1, -2)
+        g_wo = merged.swapaxes(-1, -2) @ g if wo.requires_grad else None
+        g_merged = g @ wo.data.swapaxes(-1, -2)
         g_heads = g_merged.reshape((lq, heads, dh)).transpose((1, 0, 2))
-        g_weights = g_heads @ np.swapaxes(v, -1, -2)
-        g_v = np.swapaxes(weights, -1, -2) @ g_heads
+        g_weights = g_heads @ v.swapaxes(-1, -2)
+        g_v = weights.swapaxes(-1, -2) @ g_heads
         g_scores = _softmax_grad(g_weights, weights) * scale
-        g_q = g_scores @ np.swapaxes(k_t, -1, -2)
-        g_k_t = np.swapaxes(q, -1, -2) @ g_scores
+        g_q = g_scores @ k_t.swapaxes(-1, -2)
+        g_k_t = q.swapaxes(-1, -2) @ g_scores
         g_q = g_q.transpose((1, 0, 2)).reshape((lq, d))
         # the chain's two transposes of k, undone in its order
         g_k = g_k_t.transpose((0, 2, 1)).transpose((1, 0, 2)).reshape((lk, d))
         g_v = g_v.transpose((1, 0, 2)).reshape((lk, d))
-        g_query = g_q @ np.swapaxes(wq.data, -1, -2) if query.requires_grad else None
-        g_keys_k = g_k @ np.swapaxes(wk.data, -1, -2) if keys.requires_grad else None
-        g_keys_v = g_v @ np.swapaxes(wv.data, -1, -2) if keys.requires_grad else None
-        g_wq = np.swapaxes(query.data, -1, -2) @ g_q if wq.requires_grad else None
-        g_wk = np.swapaxes(keys.data, -1, -2) @ g_k if wk.requires_grad else None
-        g_wv = np.swapaxes(keys.data, -1, -2) @ g_v if wv.requires_grad else None
+        g_query = g_q @ wq.data.swapaxes(-1, -2) if query.requires_grad else None
+        g_keys_k = g_k @ wk.data.swapaxes(-1, -2) if keys.requires_grad else None
+        g_keys_v = g_v @ wv.data.swapaxes(-1, -2) if keys.requires_grad else None
+        g_wq = query.data.swapaxes(-1, -2) @ g_q if wq.requires_grad else None
+        g_wk = keys.data.swapaxes(-1, -2) @ g_k if wk.requires_grad else None
+        g_wv = keys.data.swapaxes(-1, -2) @ g_v if wv.requires_grad else None
         return g_query, g_keys_k, g_keys_v, g_wq, g_wk, g_wv, g_wo
 
     # keys twice: the k and v projections each send it a gradient term
     return Tensor(out, _parents=(query, keys, keys, wq, wk, wv, wo), _backward=bwd)
 
 
-def euclidean_distance(a, b) -> Tensor:
-    """L2 distance along the last axis (with numpy broadcasting)."""
-    d = sub(a, b)
-    return sqrt(tsum(d * d, axis=-1))
+def gru_gate(x, w, h, u, b) -> Tensor:
+    """A recurrent cell's gate ``sigmoid(x @ w + h @ u + b)``: the chain matmul,
+    matmul, add, add, sigmoid."""
+    x, w, h, u, b = as_tensor(x), as_tensor(w), as_tensor(h), as_tensor(u), as_tensor(b)
+    _check_matmul(x.data, w.data)
+    _check_matmul(h.data, u.data)
+    xw = x.data @ w.data
+    hu = h.data @ u.data
+    pre = xw + hu
+    out = 1.0 / (1.0 + np.exp(-(pre + b.data)))
+
+    def bwd(g):
+        g_sum = g * out * (1.0 - out)
+        g_b = _unbroadcast(g_sum, b.shape)
+        g_pre = _unbroadcast(g_sum, pre.shape)
+        g_x, g_w = _matmul_grads(x, w, _unbroadcast(g_pre, xw.shape))
+        g_h, g_u = _matmul_grads(h, u, _unbroadcast(g_pre, hu.shape))
+        return g_x, g_w, g_h, g_u, g_b
+
+    return Tensor(out, _parents=(x, w, h, u, b), _backward=bwd)
+
+
+def gru_candidate(x, w, r, h, u, b) -> Tensor:
+    """A recurrent cell's candidate pre-activation ``x @ w + (r * h) @ u + b``: the
+    chain matmul, mul, matmul, add, add."""
+    x, w, r, h = as_tensor(x), as_tensor(w), as_tensor(r), as_tensor(h)
+    u, b = as_tensor(u), as_tensor(b)
+    _check_matmul(x.data, w.data)
+    xw = x.data @ w.data
+    rh = r.data * h.data
+    _check_matmul(rh, u.data)
+    rhu = rh @ u.data
+    pre = xw + rhu
+    out = pre + b.data
+
+    def bwd(g):
+        g_b = _unbroadcast(g, b.shape)
+        g_pre = _unbroadcast(g, pre.shape)
+        g_x, g_w = _matmul_grads(x, w, _unbroadcast(g_pre, xw.shape))
+        g_rhu = _unbroadcast(g_pre, rhu.shape)
+        g_u = _unbroadcast(rh.swapaxes(-1, -2) @ g_rhu, u.shape) if u.requires_grad else None
+        g_r = g_h = None
+        if r.requires_grad or h.requires_grad:
+            g_rh = _unbroadcast(g_rhu @ u.data.swapaxes(-1, -2), rh.shape)
+            g_r = _unbroadcast(g_rh * h.data, r.shape)
+            g_h = _unbroadcast(g_rh * r.data, h.shape)
+        return g_x, g_w, g_r, g_h, g_u, g_b
+
+    return Tensor(out, _parents=(x, w, r, h, u, b), _backward=bwd)
+
+
+def gru_mix(z, h, cand) -> Tensor:
+    """A recurrent cell's new state ``(1 - z) * h + z * cand``: the chain sub, mul,
+    mul, add."""
+    z, h, cand = as_tensor(z), as_tensor(h), as_tensor(cand)
+    keep = 1.0 - z.data
+    kept = keep * h.data
+    taken = z.data * cand.data
+    out = kept + taken
+
+    def bwd(g):
+        g_kept = _unbroadcast(g, kept.shape)
+        g_taken = _unbroadcast(g, taken.shape)
+        g_keep = _unbroadcast(g_kept * h.data, keep.shape)
+        g_h = _unbroadcast(g_kept * keep, h.shape) if h.requires_grad else None
+        g_z_keep = _unbroadcast(-g_keep, z.shape)
+        g_z_take = _unbroadcast(g_taken * cand.data, z.shape)
+        g_cand = _unbroadcast(g_taken * z.data, cand.shape) if cand.requires_grad else None
+        return g_z_keep, g_h, g_z_take, g_cand
+
+    # z twice: 1 - z and z * cand each send it a gradient term
+    return Tensor(out, _parents=(z, h, z, cand), _backward=bwd)
+
+
+def gate_mix(a, b, w, bias):
+    """Row-wise gated merge ``g * a + (1 - g) * b`` with ``g = sigmoid([a, b] @ w + bias)``:
+    the chain concat, linear, sigmoid, mul, sub, mul, add.
+
+    Returns (merged, g), with g as a Tensor outside the tape.
+    """
+    a, b, w, bias = as_tensor(a), as_tensor(b), as_tensor(w), as_tensor(bias)
+    both = np.concatenate([a.data, b.data], axis=-1)
+    _check_matmul(both, w.data)
+    prod = both @ w.data
+    gate = 1.0 / (1.0 + np.exp(-(prod + bias.data)))
+    from_a = gate * a.data
+    keep = 1.0 - gate
+    from_b = keep * b.data
+    out = from_a + from_b
+
+    def bwd(g):
+        g_from_a = _unbroadcast(g, from_a.shape)
+        g_from_b = _unbroadcast(g, from_b.shape)
+        g_gate = _unbroadcast(g_from_a * a.data, gate.shape)
+        g_a = _unbroadcast(g_from_a * gate, a.shape)
+        g_keep = _unbroadcast(g_from_b * b.data, keep.shape)
+        g_b = _unbroadcast(g_from_b * keep, b.shape)
+        g_gate = g_gate + _unbroadcast(-g_keep, gate.shape)
+        g_pre = g_gate * gate * (1.0 - gate)
+        g_bias = _unbroadcast(g_pre, bias.shape)
+        g_prod = _unbroadcast(g_pre, prod.shape)
+        g_a_cat = g_b_cat = g_w = None
+        if a.requires_grad or b.requires_grad:
+            g_both = _unbroadcast(g_prod @ w.data.swapaxes(-1, -2), both.shape)
+            g_a_cat, g_b_cat = np.split(g_both, [a.shape[-1]], axis=-1)
+        if w.requires_grad:
+            g_w = _unbroadcast(both.swapaxes(-1, -2) @ g_prod, w.shape)
+        return g_a, g_b, g_a_cat, g_b_cat, g_w, g_bias
+
+    # a and b twice: the products and the concat each send them a gradient term
+    merged = Tensor(out, _parents=(a, b, a, b, w, bias), _backward=bwd)
+    return merged, Tensor(gate)
+
+
+def softmax_nll(logits, gold) -> Tensor:
+    """Sum over rows of ``-log softmax(logits)[row, gold[row]]``; logits [T x V].
+
+    Replaces the chain softmax, getitem at (rows, gold), log, sum, negate.
+    """
+    logits = as_tensor(logits)
+    probs = _softmax_rows(logits.data)
+    idx = (np.arange(logits.shape[0]), np.asarray(gold, dtype=np.int64))
+    picked = probs[idx]
+    out = np.log(picked).sum() * -1.0
+
+    def bwd(g):
+        g_log = np.broadcast_to(g * -1.0, picked.shape).copy()
+        g_probs = np.zeros_like(probs)
+        np.add.at(g_probs, idx, g_log / picked)
+        return (_softmax_grad(g_probs, probs),)
+
+    return Tensor(out, _parents=(logits,), _backward=bwd)
+
+
+def neg_distance(queries, points) -> Tensor:
+    """Negative Euclidean distance of each query row to each point row.
+
+    queries [T x d] (a Tensor), points [V x d] (an array) -> [T x V]. Replaces
+    the chain reshape to [T x 1 x d], sub, mul by itself, sum over the last
+    axis, sqrt, negate.
+    """
+    queries = as_tensor(queries)
+    t, d = queries.shape
+    q = queries.data.reshape((t, 1, d))
+    diff = q - np.asarray(points, dtype=np.float64)[None, :, :]
+    dist = np.sqrt((diff * diff).sum(axis=-1))
+    out = dist * -1.0
+
+    def bwd(g):
+        g_sum = (g * -1.0) * 0.5 / dist
+        g_sq = np.broadcast_to(np.expand_dims(g_sum, -1), diff.shape).copy()
+        # diff * diff sends g_sq * diff to diff twice
+        term = g_sq * diff
+        return (_unbroadcast(term + term, q.shape).reshape(queries.shape),)
+
+    return Tensor(out, _parents=(queries,), _backward=bwd)
 
 
 # -- backward -----------------------------------------------------------
@@ -589,17 +665,18 @@ def backward(loss: Tensor) -> None:
         if expanded:
             topo.append(node)
             continue
-        if id(node) in visited:
+        if node in visited:
             continue
-        visited.add(id(node))
+        visited.add(node)
         stack.append((node, True))
         for p in node._parents:
-            if p.requires_grad and id(p) not in visited:
+            if p.requires_grad and p not in visited:
                 stack.append((p, False))
 
-    grads = {id(loss): np.ones_like(loss.data)}
+    # Tensors hash and compare by identity
+    grads = {loss: np.ones_like(loss.data)}
     for node in reversed(topo):
-        g = grads.pop(id(node), None)
+        g = grads.pop(node, None)
         if g is None:
             continue
         if node._backward is None:
@@ -609,8 +686,7 @@ def backward(loss: Tensor) -> None:
         for parent, pg in zip(node._parents, node._backward(g)):
             if not parent.requires_grad:
                 continue
-            key = id(parent)
-            if key in grads:
-                grads[key] = grads[key] + pg
+            if parent in grads:
+                grads[parent] = grads[parent] + pg
             else:
-                grads[key] = pg
+                grads[parent] = pg

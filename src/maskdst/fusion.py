@@ -116,9 +116,7 @@ def slot_context_all(params, prefix, slot_vec: np.ndarray, hier_out: Tensor,
 def fuse(params, global_ctx: Tensor, local_ctx: Tensor):
     """Gate-merge the two branches: fused = g * global + (1-g) * local.
 
-    Works row-wise on [T x d] context matrices. Returns (fused, gate).
+    Works row-wise on [T x d] context matrices, with g = sigmoid([global,
+    local] @ gate.w + gate.b). Returns (fused, gate), the gate outside the tape.
     """
-    both = ad.concat([global_ctx, local_ctx], axis=-1)
-    gate = ad.sigmoid(ad.linear(both, params["gate.w"], params["gate.b"]))
-    fused = gate * global_ctx + (1.0 - gate) * local_ctx
-    return fused, gate
+    return ad.gate_mix(global_ctx, local_ctx, params["gate.w"], params["gate.b"])

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import StateOp, apply_state_ops, op_order
+from .data import NONE_VALUE, apply_state_ops, op_order
 from .encoders import init_linear
 
 DIRECT = "direct"
@@ -26,9 +26,7 @@ def distance_logits(queries: Tensor, value_matrix: np.ndarray) -> Tensor:
     queries [T x d], value_matrix [V x d] -> logits [T x V]; softmax of
     these is the slot-value distribution.
     """
-    t, d = queries.shape
-    q = ad.reshape(queries, (t, 1, d))
-    return -ad.euclidean_distance(q, ad.constant(value_matrix[None, :, :]))
+    return ad.neg_distance(queries, value_matrix)
 
 
 # -- recurrent state-operation decoder ------------------------------------
@@ -50,10 +48,11 @@ def op_decoder_step(params, x: Tensor, hidden: Tensor):
     state [d].
     """
     h = ad.reshape(hidden, (1, -1))
-    z = ad.sigmoid(x @ params["op.cell.wz"] + h @ params["op.cell.uz"] + params["op.cell.bz"])
-    r = ad.sigmoid(x @ params["op.cell.wr"] + h @ params["op.cell.ur"] + params["op.cell.br"])
-    cand = ad.tanh(x @ params["op.cell.wh"] + (r * h) @ params["op.cell.uh"] + params["op.cell.bh"])
-    new_h = (1.0 - z) * h + z * cand
+    z = ad.gru_gate(x, params["op.cell.wz"], h, params["op.cell.uz"], params["op.cell.bz"])
+    r = ad.gru_gate(x, params["op.cell.wr"], h, params["op.cell.ur"], params["op.cell.br"])
+    cand = ad.tanh(ad.gru_candidate(x, params["op.cell.wh"], r, h, params["op.cell.uh"],
+                                    params["op.cell.bh"]))
+    new_h = ad.gru_mix(z, h, cand)
     return ad.linear(new_h, params["op.out.w"], params["op.out.b"]), new_h[0]
 
 
@@ -69,10 +68,7 @@ class LossReport:
 
 def nll_from_logits(logits: Tensor, gold: np.ndarray) -> Tensor:
     """Sum of -log softmax(logits)[gold] over rows; logits [T x V]."""
-    probs = ad.softmax(logits)
-    rows = np.arange(logits.shape[0])
-    picked = probs[(rows, np.asarray(gold, dtype=np.int64))]
-    return -ad.tsum(ad.log(picked))
+    return ad.softmax_nll(logits, gold)
 
 
 def joint_loss(sv_terms: dict, sop_terms: dict) -> tuple:
@@ -110,10 +106,17 @@ def decode_state(sv_argmax: dict, op_argmax: dict, values_of, prev_belief: dict,
     predicted operation index (ignored in DIRECT mode, where every slot is an
     UPDATE). `values_of` maps a slot to its ontology value list. The ops are
     replayed on prev_belief by `apply_state_ops`, reading the predicted
-    values; slots resolving to "none" are left out of the belief map.
+    values; DIRECT mode builds the same belief without the replay. Slots
+    resolving to "none" are left out of the belief map.
     """
-    order = op_order(four_class)
     values = {slot: values_of(slot)[i] for slot, i in sv_argmax.items()}
-    ops = {slot: StateOp.UPDATE if mode == DIRECT else order[op_argmax[slot]]
-           for slot in sv_argmax}
+    if mode == DIRECT:
+        # what replaying an UPDATE of every slot gives: kept slots stay where
+        # prev_belief has them, new ones follow in slot order
+        live = {slot: v for slot, v in values.items() if v != NONE_VALUE}
+        out = {k: live.get(k, v) for k, v in prev_belief.items() if k in live or k not in values}
+        out.update(live)
+        return out
+    order = op_order(four_class)
+    ops = {slot: order[op_argmax[slot]] for slot in sv_argmax}
     return apply_state_ops(prev_belief, ops, values)

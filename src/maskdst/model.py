@@ -232,17 +232,17 @@ class StateTracker:
         """Predicted belief state per turn."""
         with ad.no_grad():
             out = self.forward(dialogue, with_ops=mode != DIRECT)
+        # each slot's argmax over all turns at once; no op head runs in DIRECT mode
+        sv_argmax = {s: logits.data.argmax(axis=-1).tolist() for s, logits in out.sv_logits.items()}
+        op_argmax = {s: ad.softmax(logits).data.argmax(axis=-1).tolist()
+                     for s, logits in out.op_logits.items()}
         beliefs = []
         prev = {}
-        # empty in DIRECT mode, where decode_state reads no op
-        op_probs = {s: ad.softmax(logits).data for s, logits in out.op_logits.items()}
         for t in range(len(dialogue.turns)):
-            sv_argmax = {s: int(np.argmax(logits.data[t])) for s, logits in out.sv_logits.items()}
-            op_argmax = {s: int(np.argmax(probs[t])) for s, probs in op_probs.items()}
-            belief = decode_state(
-                sv_argmax, op_argmax, self.ontology.values_of, prev,
-                self.cfg.four_class, mode,
+            prev = decode_state(
+                {s: idx[t] for s, idx in sv_argmax.items()},
+                {s: idx[t] for s, idx in op_argmax.items()},
+                self.ontology.values_of, prev, self.cfg.four_class, mode,
             )
-            beliefs.append(belief)
-            prev = belief
+            beliefs.append(prev)
         return beliefs

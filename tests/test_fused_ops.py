@@ -1,9 +1,11 @@
 """The fused autodiff nodes against the primitive chains they replaced.
 
-``ad.attention``, ``ad.layer_norm`` and ``ad.linear`` each repeat the numpy
-operations of a chain of primitive nodes (kept in ``reference_chains``), so
-every value and every gradient must be bit-identical to that chain, in each
-op alone and in the whole tracker. Likewise the op head, which concatenates
+Each fused op of ``ad`` (``reference_chains.FUSED`` names them: attention,
+layer norm, linear, the op decoder's gate, candidate and state mix, the
+fusion gate, and the heads' distance and NLL) repeats the numpy operations
+of a chain of primitive nodes (kept in ``reference_chains``), so every value
+and every gradient must be bit-identical to that chain, in each op alone and
+in the whole tracker. Likewise the op head, which concatenates
 its per-turn logits and scores them with ``nll_from_logits``, must match the
 per-turn head it replaced (``reference_chains.PerTurnOpTracker``).
 """
@@ -17,28 +19,33 @@ import reference_chains as ref
 from maskdst import autodiff as ad
 from maskdst.data import GenShape, build_vocab, demo_ontology, generate_corpus
 from maskdst.fusion import GLOBAL, LOCAL, build_mask
+from maskdst.heads import init_op_decoder, op_decoder_step
 from maskdst.model import ModelConfig, StateTracker
 from maskdst.training import tiny_setup
 
 D = 8
 
 
-def value_and_grads(build, arrays, readout):
-    """build(*leaves) and the gradient of sum(build(*leaves) * readout) on each leaf."""
-    leaves = [ad.parameter(a.copy()) for a in arrays]
+def value_and_grads(build, arrays, readout, trainable):
+    """build(*leaves) and the gradient of sum(build(*leaves) * readout) on each leaf;
+    a leaf whose `trainable` entry is False is a constant."""
+    leaves = [ad.parameter(a.copy()) if t else ad.constant(a.copy())
+              for a, t in zip(arrays, trainable)]
     out = build(*leaves)
-    ad.backward(ad.tsum(out * ad.constant(readout)))
+    ad.backward(ref.tsum(out * ad.constant(readout)))
     return out.data, [leaf.grad for leaf in leaves]
 
 
-def assert_bit_identical(fused, reference, arrays, rng):
+def assert_bit_identical(fused, reference, arrays, rng, trainable=None):
+    trainable = [True] * len(arrays) if trainable is None else trainable
     shape = reference(*[ad.constant(a) for a in arrays]).shape
     readout = rng.normal(size=shape)
-    value, grads = value_and_grads(fused, arrays, readout)
-    ref_value, ref_grads = value_and_grads(reference, arrays, readout)
+    value, grads = value_and_grads(fused, arrays, readout, trainable)
+    ref_value, ref_grads = value_and_grads(reference, arrays, readout, trainable)
     assert np.array_equal(value, ref_value)
     assert len(grads) == len(ref_grads)
-    for g, ref_g in zip(grads, ref_grads):
+    for g, ref_g, t in zip(grads, ref_grads, trainable):
+        assert (g is None) == (ref_g is None) == (not t)
         assert np.array_equal(g, ref_g)
 
 
@@ -146,6 +153,138 @@ def test_linear_matches_chain(x_shape, out, seed):
     assert_bit_identical(residual(ad.linear), residual(ref.linear), square, rng)
 
 
+def some_trainable(rng, n, mixed):
+    """All n leaves trainable, or a random nonempty subset of them when `mixed`."""
+    if not mixed:
+        return [True] * n
+    keep = rng.random(n) < 0.5
+    keep[rng.integers(n)] = True
+    return list(keep)
+
+
+ROWS = [1, 4]  # a [1 x d] recurrence step and a [T x d] sequence
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("mixed", [False, True], ids=["all", "mixed"])
+@pytest.mark.parametrize("rows", ROWS)
+def test_gru_gate_matches_chain(rows, mixed, seed):
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=(rows, D)), rng.normal(size=(D, D)), rng.normal(size=(rows, D)),
+              rng.normal(size=(D, D)), rng.normal(size=D)]
+    assert_bit_identical(ad.gru_gate, ref.gru_gate, arrays, rng, some_trainable(rng, 5, mixed))
+
+    # x and h one tensor, so it takes both matmuls' terms, plus a residual term
+    def shared(op):
+        return lambda x, w, u, b: x + op(x, w, x, u, b)
+
+    assert_bit_identical(shared(ad.gru_gate), shared(ref.gru_gate),
+                         [arrays[0], arrays[1], arrays[3], arrays[4]], rng)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("mixed", [False, True], ids=["all", "mixed"])
+@pytest.mark.parametrize("rows", ROWS)
+def test_gru_candidate_matches_chain(rows, mixed, seed):
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=(rows, D)), rng.normal(size=(D, D)), rng.random((rows, D)),
+              rng.normal(size=(rows, D)), rng.normal(size=(D, D)), rng.normal(size=D)]
+    assert_bit_identical(ad.gru_candidate, ref.gru_candidate, arrays, rng,
+                         some_trainable(rng, 6, mixed))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("mixed", [False, True], ids=["all", "mixed"])
+@pytest.mark.parametrize("rows", ROWS)
+def test_gru_mix_matches_chain(rows, mixed, seed):
+    rng = np.random.default_rng(seed)
+    arrays = [rng.random((rows, D)), rng.normal(size=(rows, D)), rng.normal(size=(rows, D))]
+    assert_bit_identical(ad.gru_mix, ref.gru_mix, arrays, rng, some_trainable(rng, 3, mixed))
+
+    # z from a gate on h, so h's terms meet again upstream of the node
+    def gated(op):
+        return lambda h, w, c: op(ref.sigmoid(h @ w), h, c)
+
+    assert_bit_identical(gated(ad.gru_mix), gated(ref.gru_mix),
+                         [arrays[1], rng.normal(size=(D, D)), arrays[2]], rng)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("mixed", [False, True], ids=["all", "mixed"])
+@pytest.mark.parametrize("rows", ROWS)
+def test_gate_mix_matches_chain(rows, mixed, seed):
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=(rows, D)), rng.normal(size=(rows, D)),
+              rng.normal(size=(2 * D, D)), rng.normal(size=D)]
+
+    def merged(op):
+        return lambda *args: op(*args)[0]
+
+    assert_bit_identical(merged(ad.gate_mix), merged(ref.gate_mix), arrays, rng,
+                         some_trainable(rng, 4, mixed))
+    # both branches from one input, as tied branches with wide windows give
+    assert_bit_identical(lambda a, w, b: ad.gate_mix(a, a * 2.0, w, b)[0],
+                         lambda a, w, b: ref.gate_mix(a, a * 2.0, w, b)[0],
+                         [arrays[0], arrays[2], arrays[3]], rng)
+
+    _, gate = ad.gate_mix(*arrays)
+    _, ref_gate = ref.gate_mix(*arrays)
+    assert np.array_equal(gate.data, ref_gate.data)
+    assert gate._parents == () and not gate.requires_grad
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("rows", ROWS)
+def test_softmax_nll_matches_chain(rows, seed):
+    rng = np.random.default_rng(seed)
+    gold = rng.integers(0, 5, size=rows)
+
+    def nll(op):
+        return lambda logits: op(logits, gold)
+
+    assert_bit_identical(nll(ad.softmax_nll), nll(ref.softmax_nll),
+                         [rng.normal(size=(rows, 5)) * 3.0], rng)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("rows", ROWS)
+@pytest.mark.parametrize("points", [1, 5])
+def test_neg_distance_matches_chain(points, rows, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(points, D))
+
+    def dist(op):
+        return lambda q: op(q, values)
+
+    assert_bit_identical(dist(ad.neg_distance), dist(ref.neg_distance),
+                         [rng.normal(size=(rows, D))], rng)
+
+
+def test_op_decoder_recurrence_matches_chain(reference_chains):
+    """Five steps of ``heads.op_decoder_step`` on shared weights, as ``forward`` runs them."""
+    rng = np.random.default_rng(3)
+    params = {}
+    init_op_decoder(params, D, 3, rng)
+    names = sorted(params)
+    arrays = [rng.normal(size=(5, D))] + [params[n].data for n in names]
+
+    def run(x, *weights):
+        step_params = dict(zip(names, weights))
+        hidden, steps = ad.constant(np.zeros(D)), []
+        for t in range(5):
+            logits, hidden = op_decoder_step(step_params, x[t:t + 1], hidden)
+            steps.append(logits)
+        return ad.concat(steps)
+
+    readout = rng.normal(size=(5, 3))
+    value, grads = value_and_grads(run, arrays, readout, [True] * len(arrays))
+    reference_chains()
+    ref_value, ref_grads = value_and_grads(run, arrays, readout, [True] * len(arrays))
+    assert np.array_equal(value, ref_value)
+    for g, ref_g in zip(grads, ref_grads):
+        assert np.array_equal(g, ref_g)
+
+
 def test_fused_ops_keep_the_chain_checks():
     x = ad.constant(np.zeros((3, D)))
     with pytest.raises(ad.ShapeError):
@@ -161,6 +300,15 @@ def test_fused_ops_keep_the_chain_checks():
         ad.attention(ad.constant(np.zeros(D)), x, *w, 2)
     with pytest.raises(ad.DegenerateRowError):
         ad.attention(x, x, *w, 2, np.full(3, ad.NEG_INF))
+    square = ad.constant(np.eye(D))
+    with pytest.raises(ad.ShapeError):
+        ad.gru_gate(x, square, ad.constant(np.zeros((1, D + 1))), square, np.zeros(D))
+    with pytest.raises(ad.ShapeError):
+        ad.gru_candidate(x, square, x, x, ad.constant(np.zeros((D + 1, D))), np.zeros(D))
+    with pytest.raises(ad.ShapeError):
+        ad.gate_mix(x, x, ad.constant(np.zeros((D, D))), np.zeros(D))
+    with pytest.raises(IndexError):
+        ad.softmax_nll(x, [0, 1, D])
 
 
 # -- the whole tracker --------------------------------------------------------
@@ -169,9 +317,8 @@ def test_fused_ops_keep_the_chain_checks():
 def reference_chains(monkeypatch):
     """Route every use of the fused ops through the primitive chains."""
     def install():
-        monkeypatch.setattr(ad, "attention", ref.attention)
-        monkeypatch.setattr(ad, "layer_norm", ref.layer_norm)
-        monkeypatch.setattr(ad, "linear", ref.linear)
+        for name, chain in ref.FUSED.items():
+            monkeypatch.setattr(ad, name, chain)
     return install
 
 
@@ -287,3 +434,34 @@ def test_tiny_setup_loss_builds_at_most_320_nodes(monkeypatch):
     monkeypatch.setattr(ad.Tensor, "__init__", counting_init)
     tracker.loss(dialogue)
     assert count[0] <= 320
+
+
+def count_nodes(monkeypatch, build):
+    """The number of Tensors that build() makes."""
+    count = [0]
+    init = ad.Tensor.__init__
+
+    def counting_init(tensor, *args, **kwargs):
+        count[0] += 1
+        init(tensor, *args, **kwargs)
+
+    monkeypatch.setattr(ad.Tensor, "__init__", counting_init)
+    build()
+    monkeypatch.setattr(ad.Tensor, "__init__", init)
+    return count[0]
+
+
+def test_default_six_turn_loss_builds_at_most_360_nodes(monkeypatch):
+    """Default config, 3 slots, 6 turns: 706 nodes before the op decoder, the fusion
+    gate and both heads' chains were fused."""
+    onto = demo_ontology()
+    corpus = generate_corpus(onto, 1, seed=3, shape=GenShape(min_turns=6, max_turns=6))
+    tracker = StateTracker(ModelConfig(), build_vocab(corpus, onto), onto)
+    assert len(onto.slot_names) == 3 and len(corpus[0].turns) == 6
+    assert count_nodes(monkeypatch, lambda: tracker.loss(corpus[0])) <= 360
+
+
+def test_tiny_setup_loss_builds_at_most_140_nodes(monkeypatch):
+    """The grad-check model's taped loss: 246 nodes before that fusion."""
+    tracker, dialogue = tiny_setup(0)
+    assert count_nodes(monkeypatch, lambda: tracker.loss(dialogue)) <= 140

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from maskdst import autodiff as ad
-from maskdst.data import NONE_VALUE, StateOp
+from maskdst.data import NONE_VALUE, StateOp, apply_state_ops
 from maskdst.heads import (
     DIRECT,
     OP_GATED,
@@ -210,6 +210,22 @@ class TestDecodeState:
             expected_value = self.values_of("food")[value_idx]
             assert out == ({} if expected_value == NONE_VALUE
                            else {"food": expected_value})
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_direct_equals_replaying_an_update_of_every_slot(self, seed):
+        """Key order too: a previous belief's slots keep their places (slots outside
+        the prediction included), and new ones follow in slot order."""
+        rng = np.random.default_rng(seed)
+        values = {s: [NONE_VALUE, "dontcare", "a", "b"] for s in "wxyz"}
+        for _ in range(500):
+            slots = list(rng.permutation(list("wxyz"))[:rng.integers(0, 5)])
+            prev = {str(k): str(rng.choice(["a", "b", "dontcare", "q"]))
+                    for k in rng.permutation(list("wxyzuv"))[:rng.integers(0, 7)]}
+            sv = {s: int(rng.integers(0, 4)) for s in slots}
+            replayed = apply_state_ops(prev, dict.fromkeys(sv, StateOp.UPDATE),
+                                       {s: values[s][i] for s, i in sv.items()})
+            out = decode_state(sv, {}, values.__getitem__, prev, False, DIRECT)
+            assert list(out.items()) == list(replayed.items())
 
     def test_op_gated_update_to_prev_value_is_noop(self):
         prev = {"food": "italian"}

@@ -251,6 +251,27 @@ class TestGradCheck:
         flagged = {name for name, _ in report.failures}
         assert any(name.startswith("op.cell") for name in flagged)
 
+    @staticmethod
+    def scaled_backward(op):
+        """``op`` whose taped result's backward rule returns every term scaled by 1.5."""
+        def broken(*args):
+            result = op(*args)
+            node = result[0] if isinstance(result, tuple) else result
+            rule = node._backward
+            if rule is not None:
+                node._backward = lambda g: tuple(None if t is None else t * 1.5 for t in rule(g))
+            return result
+        return broken
+
+    @pytest.mark.parametrize("op,prefix", [("gru_gate", "op.cell."), ("gate_mix", "gate.")])
+    def test_corrupted_fused_backward_rule_is_flagged(self, monkeypatch, op, prefix):
+        tracker, dialogue = tiny_setup(2)
+        monkeypatch.setattr(ad, op, self.scaled_backward(getattr(ad, op)))
+        report = grad_check(tracker=tracker, dialogue=dialogue)
+        assert not report.passed
+        flagged = {name for name, _ in report.failures}
+        assert any(name.startswith(prefix) for name in flagged)
+
     def test_frozen_tensors_absent_from_report(self):
         report = grad_check(seed=3)
         assert not any(name.startswith("frozen") for name in report.max_rel_err)
