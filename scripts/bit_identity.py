@@ -2,6 +2,7 @@
 
     python scripts/bit_identity.py dump <checkout>/src <out>
     python scripts/bit_identity.py compare <out_a> <out_b>
+    python scripts/bit_identity.py anchor <checkout>/src [<fixture>]
 
 ``dump`` imports maskdst from the given ``src`` directory in a fresh Python
 process (BLAS pinned to one thread) and writes the values below to
@@ -29,6 +30,14 @@ equal when their dtype, shape and bytes are equal.
 
 A tracker with tied branches holds each ``glob.*`` tensor under its ``loc.*``
 name too, so both branches run on one set of weights.
+
+``anchor`` writes the numeric anchor, ``tests/anchor.npz`` by default: for
+``tiny_setup`` seeds 0-2 and two default-config dialogues, the loss, the
+``LossReport``, the norm and sum of every ``.grad`` (joint and ``sv_only``),
+the no-grad logits and the direct and op-gated beliefs. Unlike ``dump``, it
+is compared to a tolerance (``anchor_mismatches``), so a change that alters
+sum orders can still be held against one fixed reference; a change that
+alters the model rewrites it.
 """
 
 from __future__ import annotations
@@ -49,6 +58,8 @@ MODEL_CASES = [
     for four, tie, n, hier in itertools.product([False, True], [False, True], [1, 3], [1, 2])
 ]
 MODES = ("direct", "op_gated")
+ANCHOR = Path(__file__).resolve().parents[1] / "tests" / "anchor.npz"
+ANCHOR_RTOL = 1e-10
 
 
 # -- runs inside the fresh process -------------------------------------------
@@ -188,7 +199,77 @@ def run_load(src: Path, ckpt: Path, out_file: Path):
     np.savez(out_file, **out)
 
 
-# -- the two commands ----------------------------------------------------------
+def _anchor_cases():
+    """(key, tracker, dialogue) of every anchor case, each on a fresh tracker."""
+    from maskdst import training
+    from maskdst.data import GenShape, build_vocab, demo_ontology, generate_corpus
+    from maskdst.model import ModelConfig, StateTracker
+    for seed in range(3):
+        tracker, dialogue = training.tiny_setup(seed)
+        yield f"tiny{seed}", tracker, dialogue
+    onto = demo_ontology()
+    corpus = generate_corpus(onto, 2, seed=7, shape=GenShape(min_turns=6, max_turns=8))
+    vocab = build_vocab(corpus, onto)
+    for i, dialogue in enumerate(corpus):
+        yield f"default/dialogue{i}", StateTracker(ModelConfig(), vocab, onto), dialogue
+
+
+def anchor_values(weight_scale: float = 1.0) -> dict:
+    """The anchor's values from the maskdst importable here, every trainable and
+    frozen weight first multiplied by `weight_scale`."""
+    from maskdst import autodiff as ad
+    from maskdst.model import StateTracker
+    out = {}
+    for key, tracker, dialogue in _anchor_cases():
+        for p in {**tracker.params, **tracker.frozen_params}.values():
+            p.data = p.data * weight_scale
+        tracker = StateTracker(tracker.cfg, tracker.vocab, tracker.ontology,
+                               tracker.params, tracker.frozen_params)
+        names = sorted(tracker.params)
+        for sv_only in (False, True):
+            k = f"{key}/{'sv_only' if sv_only else 'joint'}"
+            tracker.zero_grads()
+            loss, report = tracker.loss(dialogue, sv_only=sv_only)
+            ad.backward(loss)
+            out[f"{k}/loss"] = np.asarray(loss.data)
+            out[f"{k}/report"] = np.asarray(
+                [report.l_sv, report.l_sop, report.l_joint]
+                + [v for entry in report.per_slot.values() for v in entry.values()])
+            grads = [np.zeros(0) if tracker.params[n].grad is None else tracker.params[n].grad
+                     for n in names]
+            out[f"{k}/grad_norm"] = np.asarray([np.linalg.norm(g) for g in grads])
+            out[f"{k}/grad_sum"] = np.asarray([g.sum() for g in grads])
+        with ad.no_grad():
+            fwd = tracker.forward(dialogue)
+        for slot in tracker.ontology.slot_names:
+            out[f"{key}/logits/{slot}/sv"] = fwd.sv_logits[slot].data
+            out[f"{key}/logits/{slot}/op"] = fwd.op_logits[slot].data
+        _belief_values(out, key, tracker, [dialogue])
+    return out
+
+
+def anchor_mismatches(got: dict, want: dict, rtol: float = ANCHOR_RTOL) -> list:
+    """The keys whose values differ: beliefs in any way, every other array by more
+    than `rtol` times that array's largest magnitude in `want`."""
+    bad = []
+    for k in sorted(got.keys() | want.keys()):
+        a, b = got.get(k), want.get(k)
+        if a is None or b is None or a.shape != b.shape:
+            bad.append(k)
+        elif "/beliefs/" in k:
+            if not np.array_equal(a, b):
+                bad.append(k)
+        elif not np.all(np.abs(a - b) <= rtol * np.abs(b).max(initial=0.0)):
+            bad.append(k)
+    return bad
+
+
+def run_anchor(src: Path, out_file: Path):
+    _import_from(src)
+    np.savez(out_file, **anchor_values())
+
+
+# -- the commands ---------------------------------------------------------------
 
 def _fresh(*args, src: Path):
     """Run this script's internal command `args` in a new process importing from `src`."""
@@ -234,7 +315,10 @@ def main(argv=None) -> int:
     c = sub.add_parser("compare", help="compare two dumps")
     c.add_argument("a", type=Path)
     c.add_argument("b", type=Path)
-    for internal in ("_dump", "_load"):
+    a = sub.add_parser("anchor", help="write the numeric anchor of one checkout")
+    a.add_argument("src", type=Path)
+    a.add_argument("out", type=Path, nargs="?", default=ANCHOR)
+    for internal in ("_dump", "_load", "_anchor"):
         i = sub.add_parser(internal)
         i.add_argument("paths", type=Path, nargs="+")
     args = p.parse_args(argv)
@@ -247,8 +331,15 @@ def main(argv=None) -> int:
         return 0
     if args.command == "compare":
         return compare(args.a.resolve(), args.b.resolve())
+    if args.command == "anchor":
+        src = args.src.resolve()
+        _fresh("_anchor", src, args.out.resolve(), src=src)
+        print(f"anchor of {src} -> {args.out}")
+        return 0
     if args.command == "_dump":
         run_dump(*args.paths)
+    elif args.command == "_anchor":
+        run_anchor(*args.paths)
     else:
         run_load(*args.paths)
     return 0
