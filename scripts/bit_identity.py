@@ -26,7 +26,10 @@ process (BLAS pinned to one thread) and writes the values below to
 ``src``, each in a fresh process, and requires the beliefs of the side that
 wrote it. It prints how many values it compared and how many differ, and
 exits 1 if any value differs or exists on one side only. Two values are
-equal when their dtype, shape and bytes are equal.
+equal when their dtype, shape and bytes are equal. After the differing keys
+it prints their count per case and kind of value (init, grad, loss, report,
+beliefs, prefix, curve), each with the largest difference of one of its
+arrays relative to that array's largest magnitude.
 
 A tracker with tied branches holds each ``glob.*`` tensor under its ``loc.*``
 name too, so both branches run on one set of weights.
@@ -288,6 +291,38 @@ def _same(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _group(key):
+    """(case, kind of value) of a compared key, e.g. ("tiny0", "grad")."""
+    parts = key.split("/")
+    case = "/".join(parts[:2]) if parts[0] == "prefixes" else parts[0]
+    if parts[0] in ("prefixes", "curve"):
+        return case, {"prefixes": "prefix"}.get(parts[0], parts[0])
+    kinds = {"init": "init", "catalog": "init", "grad": "grad", "report": "report",
+             "beliefs": "beliefs", "loss": "loss"}
+    return case, next((kinds[p] for p in parts[1:] if p in kinds), parts[-1])
+
+
+def _relative_difference(a, b):
+    """max |a - b| relative to max |a|; inf when one side is missing or shapes differ."""
+    if a is None or b is None or a.shape != b.shape:
+        return float("inf")
+    a, b = a.astype(np.float64), b.astype(np.float64)
+    scale = np.abs(a).max(initial=0.0)
+    diff = np.abs(a - b).max(initial=0.0)
+    return diff / scale if scale else (float("inf") if diff else 0.0)
+
+
+def _print_groups(differ, values):
+    groups = {}
+    for k in differ:
+        entry = groups.setdefault(_group(k), [0, 0.0])
+        entry[0] += 1
+        entry[1] = max(entry[1], _relative_difference(*values[k]))
+    print("differing values by case and kind (count, largest relative difference):")
+    for (case, kind), (count, worst) in sorted(groups.items()):
+        print(f"  {case}  {kind}: {count}, {worst:.2e}")
+
+
 def compare(dir_a: Path, dir_b: Path) -> int:
     a, b = _load(dir_a / "values.npz"), _load(dir_b / "values.npz")
     pairs = [(k, a.get(k), b.get(k)) for k in sorted(a.keys() | b.keys())]
@@ -303,6 +338,8 @@ def compare(dir_a: Path, dir_b: Path) -> int:
     print(f"compared {len(pairs)} values ({numbers} numbers): {len(differ)} differ")
     for k in differ[:20]:
         print(f"  differs: {k}")
+    if differ:
+        _print_groups(differ, {k: (x, y) for k, x, y in pairs})
     return 1 if differ else 0
 
 

@@ -287,7 +287,7 @@ def getitem(a, idx) -> Tensor:
 
     def bwd(g):
         ga = np.zeros_like(a.data)
-        if type(idx) in (int, slice):
+        if all(type(i) in (int, slice) for i in (idx if type(idx) is tuple else (idx,))):
             ga[idx] += g  # basic indexing addresses each element once
         else:
             np.add.at(ga, idx, g)
@@ -371,7 +371,21 @@ def softmax(logits) -> Tensor:
 # which the chain's expression names its inputs, so the tape walk reaches
 # the inputs, and sums the terms of inputs shared with other nodes, in the
 # chain's order too (``tests/test_fused_ops.py`` checks both, op by op and
-# in the whole tracker).
+# in the whole tracker). On inputs with a leading slot axis [J x ...], a node
+# equals J 2-D nodes, one per slot: it lists each shared weight once per slot,
+# so ``backward`` adds the slots' terms one at a time in slot order, as
+# ((prev + g0) + g1), never as (prev + (g0 + g1)).
+
+def _slots(x: np.ndarray) -> list:
+    """One index per slot of `x`'s leading slot axis, or [...] (all of x) without one."""
+    return list(range(x.shape[0])) if x.ndim == 3 else [...]
+
+
+def _weight_terms(slots, *terms):
+    """Each (gradient, weight shape) pair's term of each of `slots` in turn, unbroadcast."""
+    return tuple(g if g is None else _unbroadcast(g[j], shape)
+                 for j in slots for g, shape in terms)
+
 
 def linear(x, w, b) -> Tensor:
     """``x @ w + b``: the chain matmul, then add."""
@@ -379,13 +393,15 @@ def linear(x, w, b) -> Tensor:
     _check_matmul(x.data, w.data)
     prod = x.data @ w.data
     out = prod + b.data
+    slots = _slots(x.data)
 
     def bwd(g):
-        gb = _unbroadcast(g, b.shape)
-        gx, gw = _matmul_grads(x, w, _unbroadcast(g, prod.shape))
-        return gx, gw, gb
+        g_prod = _unbroadcast(g, prod.shape)
+        gx = _unbroadcast(g_prod @ w.data.swapaxes(-1, -2), x.shape) if x.requires_grad else None
+        gw = x.data.swapaxes(-1, -2) @ g_prod if w.requires_grad else None
+        return (gx, *_weight_terms(slots, (gw, w.shape), (g, b.shape)))
 
-    return Tensor(out, _parents=(x, w, b), _backward=bwd)
+    return Tensor(out, _parents=(x, *(w, b) * len(slots)), _backward=bwd)
 
 
 def layer_norm(x, gain, bias, eps=1e-5) -> Tensor:
@@ -406,11 +422,10 @@ def layer_norm(x, gain, bias, eps=1e-5) -> Tensor:
     normed = xc * inv
     scaled = normed * gain.data
     out = scaled + bias.data
+    slots = _slots(x.data)
 
     def bwd(g):
-        g_bias = _unbroadcast(g, bias.shape)
         g_scaled = _unbroadcast(g, scaled.shape)
-        g_gain = _unbroadcast(g_scaled * normed, gain.shape)
         g_normed = _unbroadcast(g_scaled * gain.data, normed.shape)
         g_inv = _unbroadcast(g_normed * xc, inv.shape)
         g_xc = _unbroadcast(g_normed * inv, xc.shape)
@@ -425,9 +440,10 @@ def layer_norm(x, gain, bias, eps=1e-5) -> Tensor:
         g_sum_x = _unbroadcast(g_mu * inv_n, sum_x.shape)
         g_x_direct = _unbroadcast(g_xc, x.shape)
         g_x_via_mean = np.broadcast_to(g_sum_x, x.shape).copy()
-        return g_x_direct, g_x_via_mean, g_gain, g_bias
+        return (g_x_direct, g_x_via_mean,
+                *_weight_terms(slots, (g_scaled * normed, gain.shape), (g, bias.shape)))
 
-    return Tensor(out, _parents=(x, x, gain, bias), _backward=bwd)
+    return Tensor(out, _parents=(x, x, *(gain, bias) * len(slots)), _backward=bwd)
 
 
 def attention(query, keys, wq, wk, wv, wo, heads: int, mask=None) -> Tensor:
@@ -442,51 +458,53 @@ def attention(query, keys, wq, wk, wv, wo, heads: int, mask=None) -> Tensor:
     query, keys = as_tensor(query), as_tensor(keys)
     wq, wk, wv, wo = as_tensor(wq), as_tensor(wk), as_tensor(wv), as_tensor(wo)
     qd, kd = query.data, keys.data
-    if qd.ndim != 2 or kd.ndim != 2:
-        raise RankError(f"attention needs [L x d] query and keys, got {qd.shape}, {kd.shape}")
-    lq, d = qd.shape
-    lk = kd.shape[0]
-    if kd.shape[1] != d or not (wq.shape == wk.shape == wv.shape == wo.shape == (d, d)):
+    if not qd.ndim == kd.ndim in (2, 3) or qd.shape[:-2] != kd.shape[:-2]:
+        raise RankError(f"attention needs [(J x) L x d] query and keys, got {qd.shape}, {kd.shape}")
+    *lead, lq, d = qd.shape
+    lk = kd.shape[-2]
+    if kd.shape[-1] != d or not (wq.shape == wk.shape == wv.shape == wo.shape == (d, d)):
         raise ShapeError(f"attention shapes disagree: query {qd.shape}, keys {kd.shape}, "
                          f"weights {[w.shape for w in (wq, wk, wv, wo)]}")
     if d % heads:
         raise ShapeError(f"model dim {d} not divisible by {heads} heads")
     dh = d // heads
     scale = dh ** -0.5
-    q = (qd @ wq.data).reshape((lq, heads, dh)).transpose((1, 0, 2))
-    k = (kd @ wk.data).reshape((lk, heads, dh)).transpose((1, 0, 2))
-    v = (kd @ wv.data).reshape((lk, heads, dh)).transpose((1, 0, 2))
-    k_t = k.transpose((0, 2, 1))
+    slots = _slots(qd)
+    q = (qd @ wq.data).reshape((*lead, lq, heads, dh)).swapaxes(-2, -3)
+    k = (kd @ wk.data).reshape((*lead, lk, heads, dh)).swapaxes(-2, -3)
+    v = (kd @ wv.data).reshape((*lead, lk, heads, dh)).swapaxes(-2, -3)
+    k_t = k.swapaxes(-1, -2)
     scores = (q @ k_t) * scale
     if mask is not None:
         scores = scores + _as_mask(mask)
     weights = _softmax_rows(scores)
-    merged = (weights @ v).transpose((1, 0, 2)).reshape((lq, d))
+    merged = (weights @ v).swapaxes(-2, -3).reshape((*lead, lq, d))
     out = merged @ wo.data
 
     def bwd(g):
         g_wo = merged.swapaxes(-1, -2) @ g if wo.requires_grad else None
         g_merged = g @ wo.data.swapaxes(-1, -2)
-        g_heads = g_merged.reshape((lq, heads, dh)).transpose((1, 0, 2))
+        g_heads = g_merged.reshape((*lead, lq, heads, dh)).swapaxes(-2, -3)
         g_weights = g_heads @ v.swapaxes(-1, -2)
         g_v = weights.swapaxes(-1, -2) @ g_heads
         g_scores = _softmax_grad(g_weights, weights) * scale
         g_q = g_scores @ k_t.swapaxes(-1, -2)
         g_k_t = q.swapaxes(-1, -2) @ g_scores
-        g_q = g_q.transpose((1, 0, 2)).reshape((lq, d))
+        g_q = g_q.swapaxes(-2, -3).reshape((*lead, lq, d))
         # the chain's two transposes of k, undone in its order
-        g_k = g_k_t.transpose((0, 2, 1)).transpose((1, 0, 2)).reshape((lk, d))
-        g_v = g_v.transpose((1, 0, 2)).reshape((lk, d))
+        g_k = g_k_t.swapaxes(-1, -2).swapaxes(-2, -3).reshape((*lead, lk, d))
+        g_v = g_v.swapaxes(-2, -3).reshape((*lead, lk, d))
         g_query = g_q @ wq.data.swapaxes(-1, -2) if query.requires_grad else None
         g_keys_k = g_k @ wk.data.swapaxes(-1, -2) if keys.requires_grad else None
         g_keys_v = g_v @ wv.data.swapaxes(-1, -2) if keys.requires_grad else None
         g_wq = query.data.swapaxes(-1, -2) @ g_q if wq.requires_grad else None
         g_wk = keys.data.swapaxes(-1, -2) @ g_k if wk.requires_grad else None
         g_wv = keys.data.swapaxes(-1, -2) @ g_v if wv.requires_grad else None
-        return g_query, g_keys_k, g_keys_v, g_wq, g_wk, g_wv, g_wo
+        return (g_query, g_keys_k, g_keys_v, *_weight_terms(
+            slots, (g_wq, wq.shape), (g_wk, wk.shape), (g_wv, wv.shape), (g_wo, wo.shape)))
 
     # keys twice: the k and v projections each send it a gradient term
-    return Tensor(out, _parents=(query, keys, keys, wq, wk, wv, wo), _backward=bwd)
+    return Tensor(out, _parents=(query, keys, keys, *(wq, wk, wv, wo) * len(slots)), _backward=bwd)
 
 
 def gru_gate(x, w, h, u, b) -> Tensor:
@@ -578,6 +596,7 @@ def gate_mix(a, b, w, bias):
     keep = 1.0 - gate
     from_b = keep * b.data
     out = from_a + from_b
+    slots = _slots(a.data)
 
     def bwd(g):
         g_from_a = _unbroadcast(g, from_a.shape)
@@ -588,18 +607,18 @@ def gate_mix(a, b, w, bias):
         g_b = _unbroadcast(g_from_b * keep, b.shape)
         g_gate = g_gate + _unbroadcast(-g_keep, gate.shape)
         g_pre = g_gate * gate * (1.0 - gate)
-        g_bias = _unbroadcast(g_pre, bias.shape)
         g_prod = _unbroadcast(g_pre, prod.shape)
         g_a_cat = g_b_cat = g_w = None
         if a.requires_grad or b.requires_grad:
             g_both = _unbroadcast(g_prod @ w.data.swapaxes(-1, -2), both.shape)
             g_a_cat, g_b_cat = np.split(g_both, [a.shape[-1]], axis=-1)
         if w.requires_grad:
-            g_w = _unbroadcast(both.swapaxes(-1, -2) @ g_prod, w.shape)
-        return g_a, g_b, g_a_cat, g_b_cat, g_w, g_bias
+            g_w = both.swapaxes(-1, -2) @ g_prod
+        return (g_a, g_b, g_a_cat, g_b_cat,
+                *_weight_terms(slots, (g_w, w.shape), (g_pre, bias.shape)))
 
     # a and b twice: the products and the concat each send them a gradient term
-    merged = Tensor(out, _parents=(a, b, a, b, w, bias), _backward=bwd)
+    merged = Tensor(out, _parents=(a, b, a, b, *(w, bias) * len(slots)), _backward=bwd)
     return merged, Tensor(gate)
 
 

@@ -3,7 +3,8 @@
 Builds the causal (global) and n-history (local) mask matrices, runs the
 masked hierarchical transformer over per-slot turn summaries, attends the
 slot name over words and over fused turn states, and merges the two
-branches through a learned sigmoid gate.
+branches through a learned sigmoid gate. After word attention, each stage
+runs once per branch on all J slots' [J x T x d] rows.
 """
 
 from __future__ import annotations
@@ -87,11 +88,11 @@ def masked_hier_transform(params, prefix, word_seq: Tensor, mask: np.ndarray,
                           heads: int, hier_layers: int) -> Tensor:
     """Masked transformer over per-turn summaries.
 
-    word_seq is [T x d]; turn positions 1..T are added as sinusoidal
-    encodings before the first layer. Attention logits are gated by the
+    word_seq is [T x d] or [J x T x d]; turn positions 1..T are added as
+    sinusoidal encodings before the first layer. Attention logits are gated by the
     mask matrix, so row i only ever mixes attendable turns.
     """
-    t, d = word_seq.shape
+    t, d = word_seq.shape[-2:]
     if mask.shape != (t, t):
         raise ad.ShapeError(f"mask shape {mask.shape} does not match {t} turns")
     x = word_seq + ad.constant(positional_matrix(range(1, t + 1), d))
@@ -106,17 +107,18 @@ def slot_context_all(params, prefix, slot_vec: np.ndarray, hier_out: Tensor,
 
     Row t of the result attends the slot name over the hier_out rows that
     the window mask admits at turn t; with the causal mask this is the
-    full prefix, with the LOCAL(n) mask it is the last n+1 turns.
+    full prefix, with the LOCAL(n) mask it is the last n+1 turns. slot_vec is
+    [d] for hier_out [T x d], [J x d] for [J x T x d].
     """
-    t = hier_out.shape[0]
-    queries = ad.constant(np.repeat(slot_vec[None, :], t, axis=0))
+    t = hier_out.shape[-2]
+    queries = ad.constant(np.repeat(slot_vec[..., None, :], t, axis=-2))
     return multi_head_attention(params, f"{prefix}.slotatt", queries, hier_out, heads, window_mask)
 
 
 def fuse(params, global_ctx: Tensor, local_ctx: Tensor):
     """Gate-merge the two branches: fused = g * global + (1-g) * local.
 
-    Works row-wise on [T x d] context matrices, with g = sigmoid([global,
+    Works row-wise on [T x d] or [J x T x d] contexts, with g = sigmoid([global,
     local] @ gate.w + gate.b). Returns (fused, gate), the gate outside the tape.
     """
     return ad.gate_mix(global_ctx, local_ctx, params["gate.w"], params["gate.b"])

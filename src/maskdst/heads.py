@@ -111,12 +111,20 @@ def decode_state(sv_argmax: dict, op_argmax: dict, values_of, prev_belief: dict,
     """
     values = {slot: values_of(slot)[i] for slot, i in sv_argmax.items()}
     if mode == DIRECT:
-        # what replaying an UPDATE of every slot gives: kept slots stay where
-        # prev_belief has them, new ones follow in slot order
-        live = {slot: v for slot, v in values.items() if v != NONE_VALUE}
-        out = {k: live.get(k, v) for k, v in prev_belief.items() if k in live or k not in values}
-        out.update(live)
-        return out
+        return direct_beliefs({slot: [v] for slot, v in values.items()}, prev_belief, 1)[0]
     order = op_order(four_class)
     ops = {slot: order[op_argmax[slot]] for slot in sv_argmax}
     return apply_state_ops(prev_belief, ops, values)
+
+
+def direct_beliefs(values: dict, prev_belief: dict, turns: int) -> list:
+    """The DIRECT-mode belief of each of `turns` turns after prev_belief, from each slot's
+    predicted value per turn: what replaying an UPDATE of every slot gives, so kept slots
+    stay where the belief before has them and new ones follow in slot order."""
+    beliefs = []
+    for t in range(turns):
+        live = {slot: v[t] for slot, v in values.items() if v[t] != NONE_VALUE}
+        prev_belief = {**{k: v for k, v in prev_belief.items() if k in live or k not in values},
+                       **live}
+        beliefs.append(prev_belief)
+    return beliefs

@@ -32,6 +32,7 @@ from .encoders import (
 from .heads import (
     DIRECT,
     decode_state,
+    direct_beliefs,
     distance_logits,
     init_op_decoder,
     joint_loss,
@@ -83,9 +84,14 @@ GLOB, LOC = "glob", "loc"
 
 @dataclass
 class DialogueOutput:
-    sv_logits: dict      # slot -> Tensor [T x |v_s|]
+    sv_logits: dict      # slot -> Tensor [T x |v_s|], slots in ontology order
     op_logits: dict      # slot -> Tensor [T x K]; empty when ops are not run
-    contexts: dict       # slot -> (glob, loc, fused) [T x d]
+    slot_contexts: tuple  # (glob, loc, fused), each a Tensor [J x T x d]
+
+    @property
+    def contexts(self) -> dict:
+        """slot -> its rows (glob, loc, fused) [T x d] of slot_contexts."""
+        return {s: tuple(c[j] for c in self.slot_contexts) for j, s in enumerate(self.sv_logits)}
 
 
 def init_params(cfg: ModelConfig, vocab_size: int, generator=np.random.default_rng):
@@ -116,9 +122,7 @@ class StateTracker:
             params, frozen_params = init_params(cfg, len(vocab))
         self.params = params
         self.frozen_params = frozen_params
-        self.catalog: SlotCatalog = encode_catalog(
-            ontology, frozen_params, "frozen", cfg, vocab
-        )
+        self.catalog: SlotCatalog = encode_catalog(ontology, frozen_params, "frozen", cfg, vocab)
         # untaped reuse: (weight bits, {(system, user): (glob, loc) [J x d]})
         self._reuse = (np.empty(0, np.int64), {})
 
@@ -163,41 +167,38 @@ class StateTracker:
         turns = dialogue.turns
         t_total = len(turns)
 
-        slot_queries = ad.constant(np.stack([self.catalog.slot_vecs[s] for s in slots]))
-        summaries = self._word_summaries(turns, slot_queries)
-        glob_mask = fusion.build_mask(t_total, fusion.GLOBAL)
-        loc_mask = fusion.build_mask(t_total, fusion.LOCAL, cfg.n_history)
+        slot_vecs = np.stack([self.catalog.slot_vecs[s] for s in slots])
+        summaries = self._word_summaries(turns, ad.constant(slot_vecs))
+        masks = {GLOB: fusion.build_mask(t_total, fusion.GLOBAL),
+                 LOC: fusion.build_mask(t_total, fusion.LOCAL, cfg.n_history)}
 
-        # per-branch word-level slot summaries: [J x T x d]
-        branch_word = {}
+        # each branch on all slots at once: word-level slot summaries [J x T x d],
+        # then the masked hierarchical transform and slot-over-turns attention
+        ctx = {}
         for i, branch in enumerate((GLOB, LOC)):
-            stacked = ad.stack([s[i] for s in summaries], axis=0)  # T x J x d
-            branch_word[branch] = ad.transpose(stacked, (1, 0, 2))  # J x T x d
+            word = ad.transpose(ad.stack([s[i] for s in summaries]), (1, 0, 2))  # J x T x d
+            hier_out = fusion.masked_hier_transform(self.params, branch, word, masks[branch],
+                                                    cfg.heads, cfg.hier_layers)
+            ctx[branch] = fusion.slot_context_all(self.params, branch, slot_vecs, hier_out,
+                                                  masks[branch], cfg.heads)
+        fused, _gate = fusion.fuse(self.params, ctx[GLOB], ctx[LOC])
 
-        sv_logits = {}
+        # each slot has its own candidate values, and its own op decoder recurrence
+        sv_logits = {s: distance_logits(fused[j], self.catalog.value_mats[s])
+                     for j, s in enumerate(slots)}
         op_logits = {}
-        contexts = {}
-        for j, slot in enumerate(slots):
-            ctx = {}
-            for branch, mask in ((GLOB, glob_mask), (LOC, loc_mask)):
-                hier_out = fusion.masked_hier_transform(
-                    self.params, branch, branch_word[branch][j], mask, cfg.heads, cfg.hier_layers
-                )
-                ctx[branch] = fusion.slot_context_all(
-                    self.params, branch, self.catalog.slot_vecs[slot], hier_out, mask, cfg.heads,
-                )
-            fused, _gate = fusion.fuse(self.params, ctx[GLOB], ctx[LOC])
-            sv_logits[slot] = distance_logits(fused, self.catalog.value_mats[slot])
-
-            if with_ops:
+        if with_ops:
+            # the decoder reads ctx[LOC] through one node, so that ctx[LOC] takes the
+            # gate's gradient terms before the decoder's for every slot, as it did per slot
+            loc_rows = ad.transpose(ctx[LOC], (1, 0, 2))  # T x J x d
+            for j, slot in enumerate(slots):
                 hidden = ad.constant(np.zeros(cfg.d))
                 steps = []
                 for t in range(t_total):
-                    logits, hidden = op_decoder_step(self.params, ctx[LOC][t:t + 1], hidden)
+                    logits, hidden = op_decoder_step(self.params, loc_rows[t, j:j + 1], hidden)
                     steps.append(logits)
                 op_logits[slot] = ad.concat(steps)
-            contexts[slot] = (ctx[GLOB], ctx[LOC], fused)
-        return DialogueOutput(sv_logits=sv_logits, op_logits=op_logits, contexts=contexts)
+        return DialogueOutput(sv_logits, op_logits, (ctx[GLOB], ctx[LOC], fused))
 
     # -- loss ------------------------------------------------------------
 
@@ -234,15 +235,15 @@ class StateTracker:
             out = self.forward(dialogue, with_ops=mode != DIRECT)
         # each slot's argmax over all turns at once; no op head runs in DIRECT mode
         sv_argmax = {s: logits.data.argmax(axis=-1).tolist() for s, logits in out.sv_logits.items()}
+        if mode == DIRECT:
+            return direct_beliefs({s: [self.ontology.values_of(s)[i] for i in idx]
+                                   for s, idx in sv_argmax.items()}, {}, len(dialogue.turns))
         op_argmax = {s: ad.softmax(logits).data.argmax(axis=-1).tolist()
                      for s, logits in out.op_logits.items()}
-        beliefs = []
-        prev = {}
+        beliefs, prev = [], {}
         for t in range(len(dialogue.turns)):
-            prev = decode_state(
-                {s: idx[t] for s, idx in sv_argmax.items()},
-                {s: idx[t] for s, idx in op_argmax.items()},
-                self.ontology.values_of, prev, self.cfg.four_class, mode,
-            )
+            prev = decode_state({s: idx[t] for s, idx in sv_argmax.items()},
+                                {s: idx[t] for s, idx in op_argmax.items()},
+                                self.ontology.values_of, prev, self.cfg.four_class, mode)
             beliefs.append(prev)
         return beliefs

@@ -12,7 +12,9 @@
   operation heads' distance and NLL. ``FUSED`` maps each fused op's name to
   its chain, which takes the fused op's arguments, so a test can substitute
   the chains for the fused ops and require bit-identical values and
-  gradients.
+  gradients. On inputs with a leading slot axis [J x ...], the attention,
+  layer norm, linear and gate chains stack each weight once per slot
+  (``per_slot``), so that every slot's term reaches the weight on its own.
 - Single-turn oracles: ``slot_context`` (one turn of
   ``fusion.slot_context_all``) and ``slot_value_dist`` (one query of
   ``heads.distance_logits`` through a softmax).
@@ -22,6 +24,11 @@
   ``nll_from_logits``.
 - ``tie_branches``: one set of weights for both fusion branches, so that
   they differ only in their masks.
+- The per-slot tracker: ``PerSlotTracker`` runs the hierarchical transform,
+  the slot-over-turns attention and the gate once per slot on [T x d] rows,
+  and decodes its beliefs with one ``decode_state`` call per turn, as
+  ``StateTracker`` did before those stages took a slot axis and ``predict``
+  decoded in one pass.
 """
 
 from __future__ import annotations
@@ -32,10 +39,9 @@ from typing import Optional
 import numpy as np
 
 from maskdst import autodiff as ad
-from maskdst import fusion
+from maskdst import fusion, heads
 from maskdst.autodiff import Tensor
-from maskdst.data import Dialogue, belief_value, derive_state_ops, op_order, tokenize_turn
-from maskdst.encoders import encode_turn
+from maskdst.data import Dialogue, belief_value, derive_state_ops, op_order
 from maskdst.heads import DIRECT, decode_state, distance_logits, joint_loss, nll_from_logits
 from maskdst.model import GLOB, LOC, StateTracker
 
@@ -130,25 +136,41 @@ def euclidean_distance(a, b) -> Tensor:
 
 # -- the chains the fused ops replaced --------------------------------------
 
+def per_slot(w, like):
+    """`w` as `like` [J x L x d] takes it: stacked once per slot, [J x d x d] for a
+    matrix and [J x 1 x d] for a vector, so that each slot's gradient term reaches w
+    on its own and in slot order; `w` itself when `like` has no slot axis."""
+    if like.ndim != 3:
+        return w
+    stacked = ad.stack([w] * like.shape[0])
+    return stacked if stacked.ndim == 3 else ad.reshape(stacked, (like.shape[0], 1, -1))
+
+
 def multi_head_attention(params, prefix, query: Tensor, keys: Tensor,
                          heads: int, mask: Optional[np.ndarray] = None) -> Tensor:
-    """Scaled dot-product multi-head attention; query [Lq x d], keys [Lk x d].
+    """Scaled dot-product multi-head attention; query [Lq x d], keys [Lk x d], or
+    both with a leading slot axis.
 
     `mask` is a {0, -inf} array broadcastable to the [Lq x Lk] score matrix.
     """
-    lq, d = query.shape
-    lk = keys.shape[0]
+    *lead, lq, d = query.shape
+    lk = keys.shape[-2]
     dh = d // heads
-    q = ad.transpose(ad.reshape(query @ params[f"{prefix}.wq"], (lq, heads, dh)), (1, 0, 2))
-    k = ad.transpose(ad.reshape(keys @ params[f"{prefix}.wk"], (lk, heads, dh)), (1, 0, 2))
-    v = ad.transpose(ad.reshape(keys @ params[f"{prefix}.wv"], (lk, heads, dh)), (1, 0, 2))
-    scores = (q @ ad.transpose(k, (0, 2, 1))) * (dh ** -0.5)
+    swap = (0, 2, 1, 3) if lead else (1, 0, 2)  # rows <-> heads
+
+    def split(x, length):
+        return ad.transpose(ad.reshape(x, (*lead, length, heads, dh)), swap)
+
+    q = split(query @ per_slot(params[f"{prefix}.wq"], query), lq)
+    k = split(keys @ per_slot(params[f"{prefix}.wk"], keys), lk)
+    v = split(keys @ per_slot(params[f"{prefix}.wv"], keys), lk)
+    scores = (q @ ad.transpose(k, (0, 1, 3, 2) if lead else (0, 2, 1))) * (dh ** -0.5)
     if mask is None:
         mask = np.zeros(lk)
     weights = masked_softmax(scores, mask)
-    out = weights @ v  # h x Lq x dh
-    out = ad.reshape(ad.transpose(out, (1, 0, 2)), (lq, d))
-    return out @ params[f"{prefix}.wo"]
+    out = weights @ v  # [J x] h x Lq x dh
+    out = ad.reshape(ad.transpose(out, swap), (*lead, lq, d))
+    return out @ per_slot(params[f"{prefix}.wo"], out)
 
 
 def attention(query, keys, wq, wk, wv, wo, heads: int, mask=None) -> Tensor:
@@ -165,11 +187,12 @@ def layer_norm(x, gain, bias, eps=1e-5) -> Tensor:
     xc = x - mu
     var = tmean(xc * xc, axis=-1, keepdims=True)
     inv = div(1.0, sqrt(var + eps))
-    return xc * inv * gain + bias
+    return xc * inv * per_slot(gain, x) + per_slot(bias, x)
 
 
 def linear(x, w, b) -> Tensor:
-    return ad.as_tensor(x) @ w + b
+    x = ad.as_tensor(x)
+    return x @ per_slot(w, x) + per_slot(b, x)
 
 
 def gru_gate(x, w, h, u, b) -> Tensor:
@@ -301,60 +324,23 @@ class PerTurnOutput:
 
 
 class PerTurnOpTracker(StateTracker):
-    """``StateTracker`` with the per-turn op head: forward, loss and predict as they were."""
+    """``StateTracker`` with the per-turn op head: its loss and predict as they were, on
+    the contexts of ``StateTracker.forward``."""
 
     def forward(self, dialogue: Dialogue, with_ops: bool = True) -> PerTurnOutput:
-        cfg = self.cfg
-        slots = self.ontology.slot_names
-        turns = dialogue.turns
-        t_total = len(turns)
-
-        encodings = [
-            encode_turn(tokenize_turn(t.system, t.user, self.vocab, cfg.max_turn_tokens),
-                        self.params, "turn", cfg)
-            for t in turns
-        ]
-
-        slot_queries = ad.constant(np.stack([self.catalog.slot_vecs[s] for s in slots]))
-        glob_mask = fusion.build_mask(t_total, fusion.GLOBAL)
-        loc_mask = fusion.build_mask(t_total, fusion.LOCAL, cfg.n_history)
-
-        # per-branch word-level slot summaries: [J x T x d]
-        branch_word = {}
-        for branch in (GLOB, LOC):
-            per_turn = [
-                fusion.word_attention(self.params, branch, slot_queries, enc, cfg.heads)
-                for enc in encodings
-            ]
-            stacked = ad.stack(per_turn, axis=0)            # T x J x d
-            branch_word[branch] = ad.transpose(stacked, (1, 0, 2))  # J x T x d
-
-        sv_logits = {}
+        out = StateTracker.forward(self, dialogue, with_ops=False)
         op_probs = {}
-        contexts = {}
-        for j, slot in enumerate(slots):
-            ctx = {}
-            for branch, mask in ((GLOB, glob_mask), (LOC, loc_mask)):
-                word_seq = branch_word[branch][j]  # T x d
-                hier_out = fusion.masked_hier_transform(
-                    self.params, branch, word_seq, mask, cfg.heads, cfg.hier_layers
-                )
-                ctx[branch] = fusion.slot_context_all(
-                    self.params, branch, self.catalog.slot_vecs[slot], hier_out,
-                    mask, cfg.heads,
-                )
-            fused, _gate = fusion.fuse(self.params, ctx[GLOB], ctx[LOC])
-            sv_logits[slot] = distance_logits(fused, self.catalog.value_mats[slot])
-
-            if with_ops:
-                state = OpDecoderState.initial(cfg.d)
+        if with_ops:
+            # one node between the local contexts and the op head, as in StateTracker.forward
+            loc_rows = ad.transpose(out.slot_contexts[1], (1, 0, 2))  # T x J x d
+            for j, slot in enumerate(self.ontology.slot_names):
+                state = OpDecoderState.initial(self.cfg.d)
                 probs = []
-                for t in range(t_total):
-                    dist, state = op_decoder_step(self.params, ctx[LOC][t], state)
+                for t in range(len(dialogue.turns)):
+                    dist, state = op_decoder_step(self.params, loc_rows[t, j], state)
                     probs.append(dist.probs)
                 op_probs[slot] = probs
-            contexts[slot] = (ctx[GLOB], ctx[LOC], fused)
-        return PerTurnOutput(sv_logits=sv_logits, op_probs=op_probs, contexts=contexts)
+        return PerTurnOutput(sv_logits=out.sv_logits, op_probs=op_probs, contexts=out.contexts)
 
     def gold_value_indices(self, dialogue: Dialogue, slot: str) -> np.ndarray:
         values = self.ontology.values_of(slot)
@@ -408,4 +394,75 @@ class PerTurnOpTracker(StateTracker):
             )
             beliefs.append(belief)
             prev = belief
+        return beliefs
+
+
+@dataclass
+class PerSlotOutput:
+    sv_logits: dict      # slot -> Tensor [T x |v_s|]
+    op_logits: dict      # slot -> Tensor [T x K]; empty when ops are not run
+    contexts: dict       # slot -> (glob, loc, fused) [T x d]
+
+
+class PerSlotTracker(StateTracker):
+    """``StateTracker`` with the fusion stages run once per slot: forward and predict as
+    they were."""
+
+    def forward(self, dialogue: Dialogue, with_ops: bool = True) -> PerSlotOutput:
+        cfg = self.cfg
+        slots = self.ontology.slot_names
+        turns = dialogue.turns
+        t_total = len(turns)
+
+        slot_queries = ad.constant(np.stack([self.catalog.slot_vecs[s] for s in slots]))
+        summaries = self._word_summaries(turns, slot_queries)
+        glob_mask = fusion.build_mask(t_total, fusion.GLOBAL)
+        loc_mask = fusion.build_mask(t_total, fusion.LOCAL, cfg.n_history)
+
+        # per-branch word-level slot summaries: [J x T x d]
+        branch_word = {}
+        for i, branch in enumerate((GLOB, LOC)):
+            stacked = ad.stack([s[i] for s in summaries], axis=0)  # T x J x d
+            branch_word[branch] = ad.transpose(stacked, (1, 0, 2))  # J x T x d
+
+        sv_logits = {}
+        op_logits = {}
+        contexts = {}
+        for j, slot in enumerate(slots):
+            ctx = {}
+            for branch, mask in ((GLOB, glob_mask), (LOC, loc_mask)):
+                hier_out = fusion.masked_hier_transform(
+                    self.params, branch, branch_word[branch][j], mask, cfg.heads, cfg.hier_layers
+                )
+                ctx[branch] = fusion.slot_context_all(
+                    self.params, branch, self.catalog.slot_vecs[slot], hier_out, mask, cfg.heads,
+                )
+            fused, _gate = fusion.fuse(self.params, ctx[GLOB], ctx[LOC])
+            sv_logits[slot] = distance_logits(fused, self.catalog.value_mats[slot])
+
+            if with_ops:
+                hidden = ad.constant(np.zeros(cfg.d))
+                steps = []
+                for t in range(t_total):
+                    logits, hidden = heads.op_decoder_step(self.params, ctx[LOC][t:t + 1], hidden)
+                    steps.append(logits)
+                op_logits[slot] = ad.concat(steps)
+            contexts[slot] = (ctx[GLOB], ctx[LOC], fused)
+        return PerSlotOutput(sv_logits=sv_logits, op_logits=op_logits, contexts=contexts)
+
+    def predict(self, dialogue: Dialogue, mode: str = DIRECT):
+        with ad.no_grad():
+            out = self.forward(dialogue, with_ops=mode != DIRECT)
+        sv_argmax = {s: logits.data.argmax(axis=-1).tolist() for s, logits in out.sv_logits.items()}
+        op_argmax = {s: ad.softmax(logits).data.argmax(axis=-1).tolist()
+                     for s, logits in out.op_logits.items()}
+        beliefs = []
+        prev = {}
+        for t in range(len(dialogue.turns)):
+            prev = decode_state(
+                {s: idx[t] for s, idx in sv_argmax.items()},
+                {s: idx[t] for s, idx in op_argmax.items()},
+                self.ontology.values_of, prev, self.cfg.four_class, mode,
+            )
+            beliefs.append(prev)
         return beliefs

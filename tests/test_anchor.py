@@ -52,3 +52,21 @@ def test_anchor_mismatches_reads_tolerance_per_array(bit_identity):
     moved = dict(near, **{"a/beliefs/direct": np.asarray([[0, 2]])})
     assert bit_identity.anchor_mismatches(moved, want) == ["a/beliefs/direct"]
     assert bit_identity.anchor_mismatches({}, want) == sorted(want)
+
+
+def test_compare_groups_keys_by_case_and_kind(bit_identity):
+    groups = {
+        "case-tie=True/dialogue0/joint/grad/glob.slotatt.wq": ("case-tie=True", "grad"),
+        "case-tie=True/init/glob.slotatt.wq": ("case-tie=True", "init"),
+        "default/catalog/food/slot": ("default", "init"),
+        "tiny0/dialogue0/sv_only/loss": ("tiny0", "loss"),
+        "tiny0/dialogue0/joint/report/food/l_sv": ("tiny0", "report"),
+        "tiny0/dialogue0/beliefs/direct": ("tiny0", "beliefs"),
+        "prefixes/tied/dialogue1/prefix3/area/sv": ("prefixes/tied", "prefix"),
+        "curve/final/gate.w": ("curve", "curve"),
+        "a_reads_b/checkpoint/beliefs/op_gated": ("a_reads_b", "beliefs"),
+    }
+    assert {k: bit_identity._group(k) for k in groups} == groups
+    a = np.asarray([2.0, -4.0])
+    assert bit_identity._relative_difference(a, np.asarray([2.0, -3.0])) == 0.25
+    assert bit_identity._relative_difference(a, None) == float("inf")
