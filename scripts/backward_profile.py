@@ -9,7 +9,7 @@ benchmark's ``train`` workload uses. While it runs, every autodiff node's
 backward rule is wrapped in a timer when the node is built (by wrapping
 ``Tensor.__init__`` from outside the program, so ``src/`` is unchanged), and
 ``autodiff.backward`` is timed whole. A rule is named after the op that made
-it (``gru_gate``, ``attention``, ...; the ``-`` and ``*`` operators are
+it (``gate_mix``, ``attention``, ...; the ``-`` and ``*`` operators are
 ``sub`` and ``mul``).
 
 Prints, per rule, its calls and milliseconds per trained turn and its share

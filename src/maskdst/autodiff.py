@@ -203,16 +203,11 @@ def matmul(a, b) -> Tensor:
     out = a.data @ b.data
 
     def bwd(g):
-        return _matmul_grads(a, b, g)
+        ga = _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape) if a.requires_grad else None
+        gb = _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape) if b.requires_grad else None
+        return ga, gb
 
     return Tensor(out, _parents=(a, b), _backward=bwd)
-
-
-def _matmul_grads(x, w, g):
-    """The gradients ``x @ w`` sends to x and to w, each None unless it requires grad."""
-    gx = _unbroadcast(g @ w.data.swapaxes(-1, -2), x.shape) if x.requires_grad else None
-    gw = _unbroadcast(x.data.swapaxes(-1, -2) @ g, w.shape) if w.requires_grad else None
-    return gx, gw
 
 
 # -- elementwise nonlinearities -----------------------------------------
@@ -223,16 +218,6 @@ def relu(a) -> Tensor:
 
     def bwd(g):
         return (g * (a.data > 0.0),)
-
-    return Tensor(out, _parents=(a,), _backward=bwd)
-
-
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.tanh(a.data)
-
-    def bwd(g):
-        return (g * (1.0 - out * out),)
 
     return Tensor(out, _parents=(a,), _backward=bwd)
 
@@ -505,80 +490,6 @@ def attention(query, keys, wq, wk, wv, wo, heads: int, mask=None) -> Tensor:
 
     # keys twice: the k and v projections each send it a gradient term
     return Tensor(out, _parents=(query, keys, keys, *(wq, wk, wv, wo) * len(slots)), _backward=bwd)
-
-
-def gru_gate(x, w, h, u, b) -> Tensor:
-    """A recurrent cell's gate ``sigmoid(x @ w + h @ u + b)``: the chain matmul,
-    matmul, add, add, sigmoid."""
-    x, w, h, u, b = as_tensor(x), as_tensor(w), as_tensor(h), as_tensor(u), as_tensor(b)
-    _check_matmul(x.data, w.data)
-    _check_matmul(h.data, u.data)
-    xw = x.data @ w.data
-    hu = h.data @ u.data
-    pre = xw + hu
-    out = 1.0 / (1.0 + np.exp(-(pre + b.data)))
-
-    def bwd(g):
-        g_sum = g * out * (1.0 - out)
-        g_b = _unbroadcast(g_sum, b.shape)
-        g_pre = _unbroadcast(g_sum, pre.shape)
-        g_x, g_w = _matmul_grads(x, w, _unbroadcast(g_pre, xw.shape))
-        g_h, g_u = _matmul_grads(h, u, _unbroadcast(g_pre, hu.shape))
-        return g_x, g_w, g_h, g_u, g_b
-
-    return Tensor(out, _parents=(x, w, h, u, b), _backward=bwd)
-
-
-def gru_candidate(x, w, r, h, u, b) -> Tensor:
-    """A recurrent cell's candidate pre-activation ``x @ w + (r * h) @ u + b``: the
-    chain matmul, mul, matmul, add, add."""
-    x, w, r, h = as_tensor(x), as_tensor(w), as_tensor(r), as_tensor(h)
-    u, b = as_tensor(u), as_tensor(b)
-    _check_matmul(x.data, w.data)
-    xw = x.data @ w.data
-    rh = r.data * h.data
-    _check_matmul(rh, u.data)
-    rhu = rh @ u.data
-    pre = xw + rhu
-    out = pre + b.data
-
-    def bwd(g):
-        g_b = _unbroadcast(g, b.shape)
-        g_pre = _unbroadcast(g, pre.shape)
-        g_x, g_w = _matmul_grads(x, w, _unbroadcast(g_pre, xw.shape))
-        g_rhu = _unbroadcast(g_pre, rhu.shape)
-        g_u = _unbroadcast(rh.swapaxes(-1, -2) @ g_rhu, u.shape) if u.requires_grad else None
-        g_r = g_h = None
-        if r.requires_grad or h.requires_grad:
-            g_rh = _unbroadcast(g_rhu @ u.data.swapaxes(-1, -2), rh.shape)
-            g_r = _unbroadcast(g_rh * h.data, r.shape)
-            g_h = _unbroadcast(g_rh * r.data, h.shape)
-        return g_x, g_w, g_r, g_h, g_u, g_b
-
-    return Tensor(out, _parents=(x, w, r, h, u, b), _backward=bwd)
-
-
-def gru_mix(z, h, cand) -> Tensor:
-    """A recurrent cell's new state ``(1 - z) * h + z * cand``: the chain sub, mul,
-    mul, add."""
-    z, h, cand = as_tensor(z), as_tensor(h), as_tensor(cand)
-    keep = 1.0 - z.data
-    kept = keep * h.data
-    taken = z.data * cand.data
-    out = kept + taken
-
-    def bwd(g):
-        g_kept = _unbroadcast(g, kept.shape)
-        g_taken = _unbroadcast(g, taken.shape)
-        g_keep = _unbroadcast(g_kept * h.data, keep.shape)
-        g_h = _unbroadcast(g_kept * keep, h.shape) if h.requires_grad else None
-        g_z_keep = _unbroadcast(-g_keep, z.shape)
-        g_z_take = _unbroadcast(g_taken * cand.data, z.shape)
-        g_cand = _unbroadcast(g_taken * z.data, cand.shape) if cand.requires_grad else None
-        return g_z_keep, g_h, g_z_take, g_cand
-
-    # z twice: 1 - z and z * cand each send it a gradient term
-    return Tensor(out, _parents=(z, h, z, cand), _backward=bwd)
 
 
 def gate_mix(a, b, w, bias):

@@ -1,6 +1,6 @@
 """Prediction heads: distance-softmax slot-value classification and the
-recurrent state-operation decoder, plus the joint loss and inference-time
-belief assembly.
+state-operation classifier (a linear readout of each slot's local context per
+turn), plus the joint loss and inference-time belief assembly.
 """
 
 from __future__ import annotations
@@ -29,31 +29,22 @@ def distance_logits(queries: Tensor, value_matrix: np.ndarray) -> Tensor:
     return ad.neg_distance(queries, value_matrix)
 
 
-# -- recurrent state-operation decoder ------------------------------------
+# -- state-operation head --------------------------------------------------
 
 def init_op_decoder(params, d: int, num_ops: int, rng):
-    """Gated recurrent cell (update/reset gates) plus the operation readout."""
-    for gate in ("z", "r", "h"):
-        params[f"op.cell.w{gate}"] = ad.parameter(rng.normal(0.0, d ** -0.5, (d, d)))
-        params[f"op.cell.u{gate}"] = ad.parameter(rng.normal(0.0, d ** -0.5, (d, d)))
-        params[f"op.cell.b{gate}"] = ad.parameter(np.zeros(d))
+    """The operation readout ``op.out`` [d x K]."""
     init_linear(params, "op.out", d, num_ops, rng)
 
 
-def op_decoder_step(params, x: Tensor, hidden: Tensor):
-    """One recurrence step on a local-context row.
+def op_decoder_step(params, loc_ctx: Tensor) -> Tensor:
+    """Op logits of every slot and turn, one linear readout of the local contexts.
 
-    x is [1 x d] and hidden [d] (zero at the start of every (slot,
-    dialogue) stream); returns the op logits [1 x K] and the new hidden
-    state [d].
+    loc_ctx [J x T x d] -> logits [J x T x K]: row t of slot j reads only that
+    slot's local context at turn t, which already sees turn t and its n history
+    turns. ``benchmark/spans.py`` times this head by looking its name up in
+    ``model``, so the name stays ``op_decoder_step``.
     """
-    h = ad.reshape(hidden, (1, -1))
-    z = ad.gru_gate(x, params["op.cell.wz"], h, params["op.cell.uz"], params["op.cell.bz"])
-    r = ad.gru_gate(x, params["op.cell.wr"], h, params["op.cell.ur"], params["op.cell.br"])
-    cand = ad.tanh(ad.gru_candidate(x, params["op.cell.wh"], r, h, params["op.cell.uh"],
-                                    params["op.cell.bh"]))
-    new_h = ad.gru_mix(z, h, cand)
-    return ad.linear(new_h, params["op.out.w"], params["op.out.b"]), new_h[0]
+    return ad.linear(loc_ctx, params["op.out.w"], params["op.out.b"])
 
 
 # -- losses ----------------------------------------------------------------

@@ -183,21 +183,13 @@ class StateTracker:
                                                   masks[branch], cfg.heads)
         fused, _gate = fusion.fuse(self.params, ctx[GLOB], ctx[LOC])
 
-        # each slot has its own candidate values, and its own op decoder recurrence
+        # each slot has its own candidate values; the op head reads all slots and turns at once
         sv_logits = {s: distance_logits(fused[j], self.catalog.value_mats[s])
                      for j, s in enumerate(slots)}
         op_logits = {}
         if with_ops:
-            # the decoder reads ctx[LOC] through one node, so that ctx[LOC] takes the
-            # gate's gradient terms before the decoder's for every slot, as it did per slot
-            loc_rows = ad.transpose(ctx[LOC], (1, 0, 2))  # T x J x d
-            for j, slot in enumerate(slots):
-                hidden = ad.constant(np.zeros(cfg.d))
-                steps = []
-                for t in range(t_total):
-                    logits, hidden = op_decoder_step(self.params, loc_rows[t, j:j + 1], hidden)
-                    steps.append(logits)
-                op_logits[slot] = ad.concat(steps)
+            ops = op_decoder_step(self.params, ctx[LOC])
+            op_logits = {s: ops[j] for j, s in enumerate(slots)}
         return DialogueOutput(sv_logits, op_logits, (ctx[GLOB], ctx[LOC], fused))
 
     # -- loss ------------------------------------------------------------

@@ -7,28 +7,28 @@
   and gradients as its old single node).
 - The chains of primitive nodes that the fused ops in ``maskdst.autodiff``
   replaced, kept unchanged: the old ``encoders.multi_head_attention`` body,
-  the old ``autodiff.layer_norm``, matmul followed by add, the op decoder's
-  gate, candidate and state mix, the fusion gate, and the value and
-  operation heads' distance and NLL. ``FUSED`` maps each fused op's name to
-  its chain, which takes the fused op's arguments, so a test can substitute
-  the chains for the fused ops and require bit-identical values and
-  gradients. On inputs with a leading slot axis [J x ...], the attention,
+  the old ``autodiff.layer_norm``, matmul followed by add, the fusion gate,
+  and the value and operation heads' distance and NLL. ``FUSED`` maps each
+  fused op's name to its chain, which takes the fused op's arguments, so a
+  test can substitute the chains for the fused ops and require
+  bit-identical values and gradients. On inputs with a leading slot axis [J x ...], the attention,
   layer norm, linear and gate chains stack each weight once per slot
   (``per_slot``), so that every slot's term reaches the weight on its own.
 - Single-turn oracles: ``slot_context`` (one turn of
   ``fusion.slot_context_all``) and ``slot_value_dist`` (one query of
   ``heads.distance_logits`` through a softmax).
 - The per-turn operation head: ``PerTurnOpTracker`` is the tracker whose op
-  decoder emitted one probability vector per turn, scored by picking the
-  gold probability of each turn, as it did before both heads shared
-  ``nll_from_logits``.
+  head reads each slot's local contexts through its own chain
+  (``op_logits``) and emits one probability vector per turn, scored by
+  picking the gold probability of each turn, as it did before both heads
+  shared ``nll_from_logits``.
 - ``tie_branches``: one set of weights for both fusion branches, so that
   they differ only in their masks.
 - The per-slot tracker: ``PerSlotTracker`` runs the hierarchical transform,
-  the slot-over-turns attention and the gate once per slot on [T x d] rows,
-  and decodes its beliefs with one ``decode_state`` call per turn, as
-  ``StateTracker`` did before those stages took a slot axis and ``predict``
-  decoded in one pass.
+  the slot-over-turns attention, the gate and the op head once per slot on
+  [T x d] rows, and decodes its beliefs with one ``decode_state`` call per
+  turn, as ``StateTracker`` did before those stages took a slot axis and
+  ``predict`` decoded in one pass.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from maskdst import autodiff as ad
-from maskdst import fusion, heads
+from maskdst import fusion
 from maskdst.autodiff import Tensor
 from maskdst.data import Dialogue, belief_value, derive_state_ops, op_order
 from maskdst.heads import DIRECT, decode_state, distance_logits, joint_loss, nll_from_logits
@@ -195,19 +195,6 @@ def linear(x, w, b) -> Tensor:
     return x @ per_slot(w, x) + per_slot(b, x)
 
 
-def gru_gate(x, w, h, u, b) -> Tensor:
-    return sigmoid(ad.as_tensor(x) @ w + ad.as_tensor(h) @ u + b)
-
-
-def gru_candidate(x, w, r, h, u, b) -> Tensor:
-    return ad.as_tensor(x) @ w + (ad.as_tensor(r) * h) @ u + b
-
-
-def gru_mix(z, h, cand) -> Tensor:
-    z = ad.as_tensor(z)
-    return (1.0 - z) * h + z * cand
-
-
 def gate_mix(a, b, w, bias):
     a, b = ad.as_tensor(a), ad.as_tensor(b)
     both = ad.concat([a, b], axis=-1)
@@ -233,9 +220,6 @@ FUSED = {
     "attention": attention,
     "layer_norm": layer_norm,
     "linear": linear,
-    "gru_gate": gru_gate,
-    "gru_candidate": gru_candidate,
-    "gru_mix": gru_mix,
     "gate_mix": gate_mix,
     "softmax_nll": softmax_nll,
     "neg_distance": neg_distance,
@@ -281,31 +265,9 @@ def slot_value_dist(d_st: Tensor, value_matrix: np.ndarray) -> SlotValueDistribu
 
 # -- the per-turn operation head --------------------------------------------
 
-@dataclass
-class OpDecoderState:
-    hidden: Tensor  # [d]; zero at the start of every (slot, dialogue) stream
-
-    @classmethod
-    def initial(cls, d: int):
-        return cls(hidden=ad.constant(np.zeros(d)))
-
-
-@dataclass
-class OpDistribution:
-    probs: Tensor  # [K] in op_order
-
-
-def op_decoder_step(params, c_loc: Tensor, state: OpDecoderState):
-    """One recurrence step: consume the local context, emit op probabilities."""
-    x = ad.reshape(c_loc, (1, -1))
-    h = ad.reshape(state.hidden, (1, -1))
-    z = sigmoid(x @ params["op.cell.wz"] + h @ params["op.cell.uz"] + params["op.cell.bz"])
-    r = sigmoid(x @ params["op.cell.wr"] + h @ params["op.cell.ur"] + params["op.cell.br"])
-    cand = ad.tanh(x @ params["op.cell.wh"] + (r * h) @ params["op.cell.uh"] + params["op.cell.bh"])
-    new_h = (1.0 - z) * h + z * cand
-    logits = ad.linear(new_h, params["op.out.w"], params["op.out.b"])
-    probs = ad.softmax(logits)[0]
-    return OpDistribution(probs=probs), OpDecoderState(hidden=new_h[0])
+def op_logits(params, c_loc: Tensor) -> Tensor:
+    """One slot's op logits [T x K] from its local contexts c_loc [T x d]: matmul, then add."""
+    return c_loc @ params["op.out.w"] + params["op.out.b"]
 
 
 def tie_branches(tracker: StateTracker) -> StateTracker:
@@ -331,15 +293,13 @@ class PerTurnOpTracker(StateTracker):
         out = StateTracker.forward(self, dialogue, with_ops=False)
         op_probs = {}
         if with_ops:
-            # one node between the local contexts and the op head, as in StateTracker.forward
-            loc_rows = ad.transpose(out.slot_contexts[1], (1, 0, 2))  # T x J x d
+            # the chains read the local contexts through one node, so that these take
+            # the gate's gradient terms before the op head's for every slot, as they
+            # do from StateTracker's single op head node
+            loc = ad.reshape(out.slot_contexts[1], out.slot_contexts[1].shape)
             for j, slot in enumerate(self.ontology.slot_names):
-                state = OpDecoderState.initial(self.cfg.d)
-                probs = []
-                for t in range(len(dialogue.turns)):
-                    dist, state = op_decoder_step(self.params, loc_rows[t, j], state)
-                    probs.append(dist.probs)
-                op_probs[slot] = probs
+                logits = op_logits(self.params, loc[j])
+                op_probs[slot] = [ad.softmax(logits[t]) for t in range(len(dialogue.turns))]
         return PerTurnOutput(sv_logits=out.sv_logits, op_probs=op_probs, contexts=out.contexts)
 
     def gold_value_indices(self, dialogue: Dialogue, slot: str) -> np.ndarray:
@@ -426,7 +386,7 @@ class PerSlotTracker(StateTracker):
             branch_word[branch] = ad.transpose(stacked, (1, 0, 2))  # J x T x d
 
         sv_logits = {}
-        op_logits = {}
+        ops = {}
         contexts = {}
         for j, slot in enumerate(slots):
             ctx = {}
@@ -441,14 +401,9 @@ class PerSlotTracker(StateTracker):
             sv_logits[slot] = distance_logits(fused, self.catalog.value_mats[slot])
 
             if with_ops:
-                hidden = ad.constant(np.zeros(cfg.d))
-                steps = []
-                for t in range(t_total):
-                    logits, hidden = heads.op_decoder_step(self.params, ctx[LOC][t:t + 1], hidden)
-                    steps.append(logits)
-                op_logits[slot] = ad.concat(steps)
+                ops[slot] = op_logits(self.params, ctx[LOC])
             contexts[slot] = (ctx[GLOB], ctx[LOC], fused)
-        return PerSlotOutput(sv_logits=sv_logits, op_logits=op_logits, contexts=contexts)
+        return PerSlotOutput(sv_logits=sv_logits, op_logits=ops, contexts=contexts)
 
     def predict(self, dialogue: Dialogue, mode: str = DIRECT):
         with ad.no_grad():

@@ -181,7 +181,6 @@ def test_matmul_gradient(seed):
 
 UNARY_OPS = {
     "relu": ad.relu,
-    "tanh": ad.tanh,
     "sigmoid": ref.sigmoid,
     "exp": ref.exp,
 }
@@ -289,20 +288,6 @@ POINTS = np.random.default_rng(99).normal(size=(5, 4))
 
 # fused op -> (inputs from an rng, the op on those inputs as leaves)
 FUSED_OPS = {
-    "gru_gate": (
-        lambda rng: (rng.normal(size=(2, 4)), rng.normal(size=(4, 4)), rng.normal(size=(2, 4)),
-                     rng.normal(size=(4, 4)), rng.normal(size=4)),
-        ad.gru_gate,
-    ),
-    "gru_candidate": (
-        lambda rng: (rng.normal(size=(2, 4)), rng.normal(size=(4, 4)), rng.random((2, 4)),
-                     rng.normal(size=(2, 4)), rng.normal(size=(4, 4)), rng.normal(size=4)),
-        ad.gru_candidate,
-    ),
-    "gru_mix": (
-        lambda rng: (rng.random((2, 4)), rng.normal(size=(2, 4)), rng.normal(size=(2, 4))),
-        ad.gru_mix,
-    ),
     "gate_mix": (
         lambda rng: (rng.normal(size=(3, 4)), rng.normal(size=(3, 4)), rng.normal(size=(8, 4)),
                      rng.normal(size=4)),

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from maskdst import autodiff as ad
 from maskdst import checkpoint as ckpt
 from maskdst import data, encoders, training
 from maskdst.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
@@ -435,6 +436,24 @@ class TestRejectedInput:
             assert_one_line_error(rc, capsys, "asks for more tensors than its manifest lists")
             counts.append(len(built))
         assert counts[0] == counts[1] < len(manifest["tensors"])
+
+    def test_eval_checkpoint_with_recurrent_op_decoder(self, tmp_path, corpus_file, capsys):
+        """A checkpoint written while the op head was a gated recurrent cell lists the
+        cell's op.cell.* tensors, which no config makes now."""
+        ontology, dialogues = load_corpus(corpus_file)
+        tracker = StateTracker(ModelConfig(d=8, heads=2, ff=16),
+                               data.build_vocab(dialogues, ontology), ontology)
+        rng = np.random.default_rng(0)
+        for gate in ("z", "r", "h"):
+            tracker.params[f"op.cell.w{gate}"] = ad.parameter(rng.normal(size=(8, 8)))
+            tracker.params[f"op.cell.u{gate}"] = ad.parameter(rng.normal(size=(8, 8)))
+            tracker.params[f"op.cell.b{gate}"] = ad.parameter(np.zeros(8))
+        ck = tmp_path / "model.ckpt"
+        ckpt.save_checkpoint(tracker, ck)
+        rc = main(["eval", "--corpus", corpus_file, "--checkpoint", str(ck)])
+        out = assert_one_line_error(
+            rc, capsys, "trainable tensor 'op.cell.bh' disagrees with its config and vocabulary")
+        assert out == ""
 
     @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
     def test_eval_checkpoint_that_overflows(self, tmp_path, corpus_file, capsys):

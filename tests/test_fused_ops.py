@@ -1,13 +1,12 @@
 """The fused autodiff nodes against the primitive chains they replaced.
 
 Each fused op of ``ad`` (``reference_chains.FUSED`` names them: attention,
-layer norm, linear, the op decoder's gate, candidate and state mix, the
-fusion gate, and the heads' distance and NLL) repeats the numpy operations
+layer norm, linear, the fusion gate, and the heads' distance and NLL) repeats the numpy operations
 of a chain of primitive nodes (kept in ``reference_chains``), so every value
 and every gradient must be bit-identical to that chain, in each op alone and
-in the whole tracker. Likewise the op head, which concatenates
-its per-turn logits and scores them with ``nll_from_logits``, must match the
-per-turn head it replaced (``reference_chains.PerTurnOpTracker``).
+in the whole tracker. Likewise the op head, which reads every slot's local
+contexts through one node and scores them with ``nll_from_logits``, must match
+the per-slot, per-turn head of ``reference_chains.PerTurnOpTracker``.
 """
 
 import itertools
@@ -19,7 +18,6 @@ import reference_chains as ref
 from maskdst import autodiff as ad
 from maskdst.data import GenShape, build_vocab, demo_ontology, generate_corpus
 from maskdst.fusion import GLOBAL, LOCAL, build_mask
-from maskdst.heads import init_op_decoder, op_decoder_step
 from maskdst.model import ModelConfig, StateTracker
 from maskdst.training import tiny_setup
 
@@ -162,51 +160,7 @@ def some_trainable(rng, n, mixed):
     return list(keep)
 
 
-ROWS = [1, 4]  # a [1 x d] recurrence step and a [T x d] sequence
-
-
-@pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("mixed", [False, True], ids=["all", "mixed"])
-@pytest.mark.parametrize("rows", ROWS)
-def test_gru_gate_matches_chain(rows, mixed, seed):
-    rng = np.random.default_rng(seed)
-    arrays = [rng.normal(size=(rows, D)), rng.normal(size=(D, D)), rng.normal(size=(rows, D)),
-              rng.normal(size=(D, D)), rng.normal(size=D)]
-    assert_bit_identical(ad.gru_gate, ref.gru_gate, arrays, rng, some_trainable(rng, 5, mixed))
-
-    # x and h one tensor, so it takes both matmuls' terms, plus a residual term
-    def shared(op):
-        return lambda x, w, u, b: x + op(x, w, x, u, b)
-
-    assert_bit_identical(shared(ad.gru_gate), shared(ref.gru_gate),
-                         [arrays[0], arrays[1], arrays[3], arrays[4]], rng)
-
-
-@pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("mixed", [False, True], ids=["all", "mixed"])
-@pytest.mark.parametrize("rows", ROWS)
-def test_gru_candidate_matches_chain(rows, mixed, seed):
-    rng = np.random.default_rng(seed)
-    arrays = [rng.normal(size=(rows, D)), rng.normal(size=(D, D)), rng.random((rows, D)),
-              rng.normal(size=(rows, D)), rng.normal(size=(D, D)), rng.normal(size=D)]
-    assert_bit_identical(ad.gru_candidate, ref.gru_candidate, arrays, rng,
-                         some_trainable(rng, 6, mixed))
-
-
-@pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("mixed", [False, True], ids=["all", "mixed"])
-@pytest.mark.parametrize("rows", ROWS)
-def test_gru_mix_matches_chain(rows, mixed, seed):
-    rng = np.random.default_rng(seed)
-    arrays = [rng.random((rows, D)), rng.normal(size=(rows, D)), rng.normal(size=(rows, D))]
-    assert_bit_identical(ad.gru_mix, ref.gru_mix, arrays, rng, some_trainable(rng, 3, mixed))
-
-    # z from a gate on h, so h's terms meet again upstream of the node
-    def gated(op):
-        return lambda h, w, c: op(ref.sigmoid(h @ w), h, c)
-
-    assert_bit_identical(gated(ad.gru_mix), gated(ref.gru_mix),
-                         [arrays[1], rng.normal(size=(D, D)), arrays[2]], rng)
+ROWS = [1, 4]  # one row and a [T x d] sequence
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -260,31 +214,6 @@ def test_neg_distance_matches_chain(points, rows, seed):
                          [rng.normal(size=(rows, D))], rng)
 
 
-def test_op_decoder_recurrence_matches_chain(reference_chains):
-    """Five steps of ``heads.op_decoder_step`` on shared weights, as ``forward`` runs them."""
-    rng = np.random.default_rng(3)
-    params = {}
-    init_op_decoder(params, D, 3, rng)
-    names = sorted(params)
-    arrays = [rng.normal(size=(5, D))] + [params[n].data for n in names]
-
-    def run(x, *weights):
-        step_params = dict(zip(names, weights))
-        hidden, steps = ad.constant(np.zeros(D)), []
-        for t in range(5):
-            logits, hidden = op_decoder_step(step_params, x[t:t + 1], hidden)
-            steps.append(logits)
-        return ad.concat(steps)
-
-    readout = rng.normal(size=(5, 3))
-    value, grads = value_and_grads(run, arrays, readout, [True] * len(arrays))
-    reference_chains()
-    ref_value, ref_grads = value_and_grads(run, arrays, readout, [True] * len(arrays))
-    assert np.array_equal(value, ref_value)
-    for g, ref_g in zip(grads, ref_grads):
-        assert np.array_equal(g, ref_g)
-
-
 def test_fused_ops_keep_the_chain_checks():
     x = ad.constant(np.zeros((3, D)))
     with pytest.raises(ad.ShapeError):
@@ -300,11 +229,6 @@ def test_fused_ops_keep_the_chain_checks():
         ad.attention(ad.constant(np.zeros(D)), x, *w, 2)
     with pytest.raises(ad.DegenerateRowError):
         ad.attention(x, x, *w, 2, np.full(3, ad.NEG_INF))
-    square = ad.constant(np.eye(D))
-    with pytest.raises(ad.ShapeError):
-        ad.gru_gate(x, square, ad.constant(np.zeros((1, D + 1))), square, np.zeros(D))
-    with pytest.raises(ad.ShapeError):
-        ad.gru_candidate(x, square, x, x, ad.constant(np.zeros((D + 1, D))), np.zeros(D))
     with pytest.raises(ad.ShapeError):
         ad.gate_mix(x, x, ad.constant(np.zeros((D, D))), np.zeros(D))
     with pytest.raises(IndexError):
@@ -451,17 +375,18 @@ def count_nodes(monkeypatch, build):
     return count[0]
 
 
-def test_default_six_turn_loss_builds_at_most_360_nodes(monkeypatch):
-    """Default config, 3 slots, 6 turns: 706 nodes before the op decoder, the fusion
-    gate and both heads' chains were fused."""
+def test_default_six_turn_loss_builds_at_most_140_nodes(monkeypatch):
+    """Default config, 3 slots, 6 turns: 706 nodes before the fusion gate and both
+    heads' chains were fused, and 295 with a recurrent op decoder."""
     onto = demo_ontology()
     corpus = generate_corpus(onto, 1, seed=3, shape=GenShape(min_turns=6, max_turns=6))
     tracker = StateTracker(ModelConfig(), build_vocab(corpus, onto), onto)
     assert len(onto.slot_names) == 3 and len(corpus[0].turns) == 6
-    assert count_nodes(monkeypatch, lambda: tracker.loss(corpus[0])) <= 360
+    assert count_nodes(monkeypatch, lambda: tracker.loss(corpus[0])) <= 140
 
 
-def test_tiny_setup_loss_builds_at_most_140_nodes(monkeypatch):
-    """The grad-check model's taped loss: 246 nodes before that fusion."""
+def test_tiny_setup_loss_builds_at_most_75_nodes(monkeypatch):
+    """The grad-check model's taped loss: 246 nodes before that fusion, and 109 with a
+    recurrent op decoder."""
     tracker, dialogue = tiny_setup(0)
-    assert count_nodes(monkeypatch, lambda: tracker.loss(dialogue)) <= 140
+    assert count_nodes(monkeypatch, lambda: tracker.loss(dialogue)) <= 75

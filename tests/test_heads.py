@@ -88,43 +88,36 @@ class TestOpDecoder:
     def test_zero_everything_gives_uniform(self):
         d, k = 6, 3
         params = zeroed_decoder_params(d, k)
-        logits, hidden = op_decoder_step(params, ad.constant(np.zeros((1, d))),
-                                         ad.constant(np.zeros(d)))
-        assert np.allclose(hidden.data, 0.0, atol=1e-15)
+        logits = op_decoder_step(params, ad.constant(np.zeros((2, 4, d))))
+        assert logits.shape == (2, 4, k)
         assert np.allclose(ad.softmax(logits).data, 1 / 3, atol=1e-15)
 
-    def test_state_dependence(self):
-        d, k = 6, 3
-        params = random_decoder_params(d, k, seed=3)
-        rng = np.random.default_rng(4)
-        x = ad.constant(rng.normal(size=(1, d)))
-        h1 = ad.constant(np.zeros(d))
-        h2 = ad.constant(rng.normal(size=d))
-        l1, _ = op_decoder_step(params, x, h1)
-        l2, _ = op_decoder_step(params, x, h2)
-        assert np.abs(ad.softmax(l1).data - ad.softmax(l2).data).max() > 0
-
-    def test_markov_replay_bitwise(self):
-        d, k = 6, 3
-        params = random_decoder_params(d, k, seed=5)
-        rng = np.random.default_rng(6)
-        x = ad.constant(rng.normal(size=(1, d)))
-        h = ad.constant(rng.normal(size=d))
-        a_logits, a_hidden = op_decoder_step(params, x, h)
-        b_logits, b_hidden = op_decoder_step(params, x, h)
-        assert np.array_equal(a_logits.data, b_logits.data)
-        assert np.array_equal(a_hidden.data, b_hidden.data)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_each_row_reads_only_its_own_context(self, seed):
+        """Changing one slot's context at turn t' changes no other (slot, turn) row."""
+        rng = np.random.default_rng(seed)
+        slots, turns, d, k = 3, 5, 6, 4
+        params = random_decoder_params(d, k, seed=seed)
+        ctx = rng.normal(size=(slots, turns, d))
+        before = op_decoder_step(params, ad.constant(ctx)).data
+        j, t = int(rng.integers(slots)), int(rng.integers(turns))
+        ctx[j, t] = rng.normal(size=d)
+        after = op_decoder_step(params, ad.constant(ctx)).data
+        changed = np.zeros((slots, turns), dtype=bool)
+        changed[j, t] = True
+        assert np.array_equal(before[~changed], after[~changed])
+        assert not np.array_equal(before[j, t], after[j, t])
 
     def test_readout_gradient_matches_finite_differences(self):
         d, k = 5, 3
         params = random_decoder_params(d, k, seed=7)
         rng = np.random.default_rng(8)
-        x = rng.normal(size=(1, d))
-        gold = 2
+        x = rng.normal(size=(2, 3, d))
+        gold = [np.array([2, 0, 1]), np.array([1, 1, 0])]
 
         def loss_tensor():
-            logits, _ = op_decoder_step(params, ad.constant(x), ad.constant(np.zeros(d)))
-            return nll_from_logits(logits, np.array([gold]))
+            logits = op_decoder_step(params, ad.constant(x))
+            return nll_from_logits(logits[0], gold[0]) + nll_from_logits(logits[1], gold[1])
 
         ad.backward(loss_tensor())
         w = params["op.out.w"]

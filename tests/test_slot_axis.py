@@ -259,7 +259,8 @@ def test_tracker_with_reversed_slot_terms_differs_from_per_slot_oracle(monkeypat
     reversed_slot_terms(monkeypatch)
     got = batch_grads(tracker, corpus)
     differ = [n for n in want if got[n] != want[n]]
-    assert differ and all(n.startswith(("glob.", "loc.", "gate.")) for n in differ)
+    assert differ and all(n.startswith(("glob.", "loc.", "gate.", "op.")) for n in differ)
+    assert {"op.out.w", "op.out.b"} <= set(differ)
 
 
 # -- the whole tracker against the per-slot oracle --------------------------------
