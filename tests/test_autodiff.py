@@ -5,6 +5,7 @@ import pytest
 
 import reference_chains as ref
 from maskdst import autodiff as ad
+from maskdst.heads import nll_from_logits, op_decoder_step
 from maskdst.training import tiny_setup
 
 
@@ -164,6 +165,18 @@ def test_elementwise_gradients(opname, seed):
 
 
 @pytest.mark.parametrize("seed", range(50))
+@pytest.mark.parametrize("opname", sorted(ELEMENTWISE_OPS))
+def test_broadcast_elementwise_gradients(opname, seed):
+    # a row [4] and a column [3 x 1] against [3 x 4]: each operand's gradient sums
+    # over the axes it was broadcast along
+    op = ELEMENTWISE_OPS[opname]
+    check_op_gradient(
+        lambda rng: (rng.normal(size=(3, 4)), rng.normal(size=4), rng.normal(size=(3, 1))),
+        lambda a, row, col: op(op(a, row), col), seed,
+    )
+
+
+@pytest.mark.parametrize("seed", range(50))
 def test_div_gradient(seed):
     check_op_gradient(
         lambda rng: (rng.normal(size=(3, 4)), rng.normal(size=(3, 4)) + 3.0),
@@ -245,6 +258,22 @@ def test_concat_stack_reshape_transpose_gradients(seed):
     )
 
 
+# index of a [3 x 4 x 2] input -> the path of getitem's backward it takes
+INDICES = {
+    "slot_row": 1,  # basic, as the op head's row j of [J x T x K]
+    "basic_tuple": (slice(1, 3), 2),  # basic, ``ga[idx] += g``
+    "gather_repeats": (np.array([2, 0, 2]), np.array([1, 3, 1])),  # np.add.at, one pick twice
+}
+
+
+@pytest.mark.parametrize("seed", range(50))
+@pytest.mark.parametrize("kind", sorted(INDICES))
+def test_getitem_gradients(kind, seed):
+    idx = INDICES[kind]
+    check_op_gradient(lambda rng: (rng.normal(size=(3, 4, 2)),),
+                      lambda a: a[idx] * a[idx], seed)
+
+
 @pytest.mark.parametrize("seed", range(50))
 def test_euclidean_distance_gradient(seed):
     check_op_gradient(
@@ -258,6 +287,22 @@ def test_linear_gradient(seed):
     check_op_gradient(
         lambda rng: (rng.normal(size=(3, 4)), rng.normal(size=(4, 2)), rng.normal(size=2)),
         ad.linear, seed,
+    )
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_op_head_loss_gradient(seed):
+    # as the tracker scores it: one readout of the [J x T x d] local contexts, then
+    # each slot's row j against its gold operations
+    gold = np.random.default_rng(seed).integers(0, 3, size=(2, 4))
+
+    def loss(ctx, w, b):
+        logits = op_decoder_step({"op.out.w": w, "op.out.b": b}, ctx)
+        return nll_from_logits(logits[0], gold[0]) + nll_from_logits(logits[1], gold[1])
+
+    check_op_gradient(
+        lambda rng: (rng.normal(size=(2, 4, 5)), rng.normal(size=(5, 3)), rng.normal(size=3)),
+        loss, seed,
     )
 
 

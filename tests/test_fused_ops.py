@@ -18,6 +18,7 @@ import reference_chains as ref
 from maskdst import autodiff as ad
 from maskdst.data import GenShape, build_vocab, demo_ontology, generate_corpus
 from maskdst.fusion import GLOBAL, LOCAL, build_mask
+from maskdst.heads import op_decoder_step
 from maskdst.model import ModelConfig, StateTracker
 from maskdst.training import tiny_setup
 
@@ -212,6 +213,26 @@ def test_neg_distance_matches_chain(points, rows, seed):
 
     assert_bit_identical(dist(ad.neg_distance), dist(ref.neg_distance),
                          [rng.normal(size=(rows, D))], rng)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("mixed", [False, True], ids=["all", "mixed"])
+@pytest.mark.parametrize("turns", [1, 6])
+@pytest.mark.parametrize("slots", [1, 3])
+def test_op_head_matches_per_slot_chain(slots, turns, mixed, seed):
+    """``heads.op_decoder_step`` on [J x T x d] against ``reference_chains.op_logits``
+    run once per slot on that slot's [T x d] rows."""
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=(slots, turns, D)), rng.normal(size=(D, 3)), rng.normal(size=3)]
+
+    def head(ctx, w, b):
+        return op_decoder_step({"op.out.w": w, "op.out.b": b}, ctx)
+
+    def chain(ctx, w, b):
+        return ad.stack([ref.op_logits({"op.out.w": w, "op.out.b": b}, ctx[j])
+                         for j in range(slots)])
+
+    assert_bit_identical(head, chain, arrays, rng, some_trainable(rng, 3, mixed))
 
 
 def test_fused_ops_keep_the_chain_checks():
