@@ -13,14 +13,18 @@ process (BLAS pinned to one thread) and writes the values below to
   {1, 3} x ``hier_layers`` in {1, 2}, at d=8) and the default config, on 6
   dialogues of 2-7 turns: the initial weights and catalog, then per dialogue
   the loss, the ``LossReport`` and every ``.grad`` (joint and ``sv_only``),
-  and the direct and op-gated beliefs;
+  and the direct and op-gated beliefs, each with its key order;
 - ``tiny_setup`` seeds 0-2: the same per-dialogue values;
 - for the default config, with separate and with tied branches, on 2
   dialogues of 8-10 turns: the no-grad ``forward`` logits of every prefix,
   in call order on one tracker, so values reused from an earlier prefix are
   compared too;
 - a 3-epoch d=16 training curve, its final weights and its metrics;
-- the beliefs of that trained model after a save/load round trip.
+- the beliefs of that trained model after a save/load round trip, with
+  their key order.
+
+A belief's key order is the slot indices in the order its keys were inserted,
+padded with -1, so ``compare`` catches a reordered belief too.
 
 ``compare`` also loads each side's checkpoint with the other side's
 ``src``, each in a fresh process, and requires the beliefs of the side that
@@ -84,18 +88,25 @@ def _tracker(cfg, vocab, onto, tie):
 
 
 def _beliefs(tracker, dialogues, mode):
-    """Predicted beliefs as value indices, one row per turn, ontology slot order."""
+    """Predicted beliefs, one row per turn: the value indices in ontology slot order,
+    and the slot indices in the belief's key order, padded with -1."""
     onto = tracker.ontology
-    rows = []
+    slots = onto.slot_names
+    rows, orders = [], []
     for d in dialogues:
         for belief in tracker.predict(d, mode):
-            rows.append([onto.values_of(s).index(belief.get(s, "none")) for s in onto.slot_names])
-    return np.asarray(rows, dtype=np.int64)
+            rows.append([onto.values_of(s).index(belief.get(s, "none")) for s in slots])
+            order = [slots.index(s) for s in belief]
+            orders.append(order + [-1] * (len(slots) - len(order)))
+    return np.asarray(rows, dtype=np.int64), np.asarray(orders, dtype=np.int64)
 
 
-def _belief_values(out, key, tracker, dialogues):
+def _belief_values(out, key, tracker, dialogues, with_order=True):
     for mode in MODES:
-        out[f"{key}/beliefs/{mode}"] = _beliefs(tracker, dialogues, mode)
+        values, order = _beliefs(tracker, dialogues, mode)
+        out[f"{key}/beliefs/{mode}"] = values
+        if with_order:
+            out[f"{key}/beliefs/{mode}/order"] = order
 
 
 def _dialogue_values(out, key, tracker, dialogue):
@@ -247,7 +258,7 @@ def anchor_values(weight_scale: float = 1.0) -> dict:
         for slot in tracker.ontology.slot_names:
             out[f"{key}/logits/{slot}/sv"] = fwd.sv_logits[slot].data
             out[f"{key}/logits/{slot}/op"] = fwd.op_logits[slot].data
-        _belief_values(out, key, tracker, [dialogue])
+        _belief_values(out, key, tracker, [dialogue], with_order=False)
     return out
 
 

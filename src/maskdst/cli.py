@@ -30,8 +30,7 @@ EXIT_NUMERICAL = 3
 def _load_config_file(path):
     if path is None:
         return {}
-    if not os.path.exists(path):
-        raise ValidationError(f"config file not found: {path}")
+    _require_file(path, "config file")
     with open(path, encoding="utf-8") as fh:
         cfg = json.load(fh)
     # every key optional and of any type: check_config checks the values
@@ -52,15 +51,17 @@ def _effective(args, file_cfg, defaults):
 
 
 def _require_file(path, what):
-    if not os.path.exists(path):
-        raise ValidationError(f"{what} not found: {path}")
+    if not os.path.isfile(path):
+        raise ValidationError(f"{what} not found or not a file: {path}")
 
 
 def _check_output_dirs(args):
-    """Reject an output path whose directory is missing or read-only, before any work."""
+    """Reject an output path that is a directory or whose directory is missing or read-only."""
     for flag in ("out", "report", "curve"):
         path = getattr(args, flag, None)
         directory = os.path.dirname(os.path.abspath(path or "."))
+        if path and os.path.isdir(path):
+            raise ValidationError(f"--{flag} is a directory: {path}")
         if path and not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
             raise ValidationError(f"--{flag} directory not found or not writable: {directory}")
 

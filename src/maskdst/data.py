@@ -252,22 +252,24 @@ def derive_state_ops(prev: dict, cur: dict, ontology: Ontology,
     return ops
 
 
+def slot_after(op: StateOp, held: str, value: str) -> str:
+    """The value `op` leaves in a slot that held `held`, given the turn's value `value`."""
+    if op is StateOp.CARRYOVER:
+        return held
+    if op is StateOp.DONTCARE:
+        return DONTCARE_VALUE
+    return NONE_VALUE if op is StateOp.DELETE else value
+
+
 def apply_state_ops(prev: dict, ops: dict, cur: dict) -> dict:
     """Replay one turn of operations, reading new values from `cur`."""
     out = dict(prev)
     for slot, op in ops.items():
-        if op is StateOp.CARRYOVER:
-            continue
-        if op is StateOp.DONTCARE:
-            out[slot] = DONTCARE_VALUE
-        elif op is StateOp.DELETE:
+        value = slot_after(op, belief_value(out, slot), belief_value(cur, slot))
+        if value == NONE_VALUE:
             out.pop(slot, None)
-        else:  # UPDATE
-            value = belief_value(cur, slot)
-            if value == NONE_VALUE:
-                out.pop(slot, None)
-            else:
-                out[slot] = value
+        else:
+            out[slot] = value
     return out
 
 

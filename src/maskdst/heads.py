@@ -1,6 +1,8 @@
 """Prediction heads: distance-softmax slot-value classification and the
 state-operation classifier (a linear readout of each slot's local context per
-turn), plus the joint loss and inference-time belief assembly.
+turn), plus the joint loss and belief decoding: OP_GATED replays each slot's
+predicted ops over its predicted values, then both modes assemble the beliefs
+of all turns from each slot's value per turn in one pass.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import NONE_VALUE, apply_state_ops, op_order
+from .data import NONE_VALUE, slot_after
 from .encoders import init_linear
 
 DIRECT = "direct"
@@ -87,35 +89,29 @@ def joint_loss(sv_terms: dict, sop_terms: dict) -> tuple:
     return total, report
 
 
-# -- inference-time belief assembly ----------------------------------------
+# -- inference-time belief decoding ----------------------------------------
 
-def decode_state(sv_argmax: dict, op_argmax: dict, values_of, prev_belief: dict,
-                 four_class: bool, mode: str = DIRECT) -> dict:
-    """Assemble a belief state from per-slot predictions.
-
-    sv_argmax maps slot -> predicted value index; op_argmax maps slot ->
-    predicted operation index (ignored in DIRECT mode, where every slot is an
-    UPDATE). `values_of` maps a slot to its ontology value list. The ops are
-    replayed on prev_belief by `apply_state_ops`, reading the predicted
-    values; DIRECT mode builds the same belief without the replay. Slots
-    resolving to "none" are left out of the belief map.
-    """
-    values = {slot: values_of(slot)[i] for slot, i in sv_argmax.items()}
-    if mode == DIRECT:
-        return direct_beliefs({slot: [v] for slot, v in values.items()}, prev_belief, 1)[0]
-    order = op_order(four_class)
-    ops = {slot: order[op_argmax[slot]] for slot in sv_argmax}
-    return apply_state_ops(prev_belief, ops, values)
+def replay_ops(values: dict, ops: dict) -> dict:
+    """Each slot's value after every turn when its predicted ops are replayed from an
+    empty belief: slot -> the predicted value per turn, and slot -> the predicted
+    StateOp per turn, give slot -> the value the op leaves (``data.slot_after``)."""
+    replayed = {}
+    for slot, predicted in values.items():
+        held, row = NONE_VALUE, []
+        for op, value in zip(ops[slot], predicted):
+            held = slot_after(op, held, value)
+            row.append(held)
+        replayed[slot] = row
+    return replayed
 
 
-def direct_beliefs(values: dict, prev_belief: dict, turns: int) -> list:
-    """The DIRECT-mode belief of each of `turns` turns after prev_belief, from each slot's
-    predicted value per turn: what replaying an UPDATE of every slot gives, so kept slots
-    stay where the belief before has them and new ones follow in slot order."""
-    beliefs = []
-    for t in range(turns):
-        live = {slot: v[t] for slot, v in values.items() if v[t] != NONE_VALUE}
-        prev_belief = {**{k: v for k, v in prev_belief.items() if k in live or k not in values},
-                       **live}
-        beliefs.append(prev_belief)
+def assemble_beliefs(values: dict) -> list:
+    """The belief of each turn from each slot's value per turn: a slot that stays set
+    keeps its place, one newly set follows in slot order, one resolving to "none" is
+    left out, as replaying the turns one by one with ``data.apply_state_ops`` does."""
+    beliefs, prev = [], {}
+    for row in zip(*values.values()):
+        live = {slot: v for slot, v in zip(values, row) if v != NONE_VALUE}
+        prev = {**{k: v for k, v in prev.items() if k in live}, **live}
+        beliefs.append(prev)
     return beliefs

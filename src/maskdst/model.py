@@ -31,13 +31,13 @@ from .encoders import (
 )
 from .heads import (
     DIRECT,
-    decode_state,
-    direct_beliefs,
+    assemble_beliefs,
     distance_logits,
     init_op_decoder,
     joint_loss,
     nll_from_logits,
     op_decoder_step,
+    replay_ops,
 )
 
 
@@ -176,7 +176,7 @@ class StateTracker:
         # then the masked hierarchical transform and slot-over-turns attention
         ctx = {}
         for i, branch in enumerate((GLOB, LOC)):
-            word = ad.transpose(ad.stack([s[i] for s in summaries]), (1, 0, 2))  # J x T x d
+            word = ad.stack([s[i] for s in summaries], axis=1)  # J x T x d
             hier_out = fusion.masked_hier_transform(self.params, branch, word, masks[branch],
                                                     cfg.heads, cfg.hier_layers)
             ctx[branch] = fusion.slot_context_all(self.params, branch, slot_vecs, hier_out,
@@ -222,20 +222,18 @@ class StateTracker:
     # -- inference -------------------------------------------------------
 
     def predict(self, dialogue: Dialogue, mode: str = DIRECT):
-        """Predicted belief state per turn."""
+        """Predicted belief state per turn: each slot's value per turn, in OP_GATED mode
+        replayed through its predicted ops, then assembled into beliefs in one pass."""
         with ad.no_grad():
             out = self.forward(dialogue, with_ops=mode != DIRECT)
         # each slot's argmax over all turns at once; no op head runs in DIRECT mode
-        sv_argmax = {s: logits.data.argmax(axis=-1).tolist() for s, logits in out.sv_logits.items()}
-        if mode == DIRECT:
-            return direct_beliefs({s: [self.ontology.values_of(s)[i] for i in idx]
-                                   for s, idx in sv_argmax.items()}, {}, len(dialogue.turns))
-        op_argmax = {s: ad.softmax(logits).data.argmax(axis=-1).tolist()
-                     for s, logits in out.op_logits.items()}
-        beliefs, prev = [], {}
-        for t in range(len(dialogue.turns)):
-            prev = decode_state({s: idx[t] for s, idx in sv_argmax.items()},
-                                {s: idx[t] for s, idx in op_argmax.items()},
-                                self.ontology.values_of, prev, self.cfg.four_class, mode)
-            beliefs.append(prev)
-        return beliefs
+        values = {}
+        for s, logits in out.sv_logits.items():
+            candidates = self.ontology.values_of(s)
+            values[s] = [candidates[i] for i in logits.data.argmax(axis=-1).tolist()]
+        if mode != DIRECT:
+            order = op_order(self.cfg.four_class)
+            ops = {s: [order[i] for i in ad.softmax(logits).data.argmax(axis=-1).tolist()]
+                   for s, logits in out.op_logits.items()}
+            values = replay_ops(values, ops)
+        return assemble_beliefs(values)

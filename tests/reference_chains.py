@@ -29,6 +29,10 @@
   [T x d] rows, and decodes its beliefs with one ``decode_state`` call per
   turn, as ``StateTracker`` did before those stages took a slot axis and
   ``predict`` decoded in one pass.
+- The per-turn belief decoder: ``decode_state`` builds one turn's belief from
+  the belief of the turn before, as ``heads.decode_state`` did before
+  ``predict`` replayed each slot's ops on its own and assembled every turn's
+  belief in one pass (``heads.replay_ops``, ``heads.assemble_beliefs``).
 """
 
 from __future__ import annotations
@@ -41,8 +45,15 @@ import numpy as np
 from maskdst import autodiff as ad
 from maskdst import fusion
 from maskdst.autodiff import Tensor
-from maskdst.data import Dialogue, belief_value, derive_state_ops, op_order
-from maskdst.heads import DIRECT, decode_state, distance_logits, joint_loss, nll_from_logits
+from maskdst.data import (
+    NONE_VALUE,
+    Dialogue,
+    apply_state_ops,
+    belief_value,
+    derive_state_ops,
+    op_order,
+)
+from maskdst.heads import DIRECT, distance_logits, joint_loss, nll_from_logits
 from maskdst.model import GLOB, LOC, StateTracker
 
 
@@ -261,6 +272,31 @@ def slot_value_dist(d_st: Tensor, value_matrix: np.ndarray) -> SlotValueDistribu
     logits = distance_logits(ad.reshape(d_st, (1, -1)), value_matrix)
     probs = ad.softmax(logits)[0]
     return SlotValueDistribution(probs=probs, chosen=int(np.argmax(probs.data)))
+
+
+# -- the per-turn belief decoder -------------------------------------------
+
+def decode_state(sv_argmax: dict, op_argmax: dict, values_of, prev_belief: dict,
+                 four_class: bool, mode: str = DIRECT) -> dict:
+    """Assemble one turn's belief state from per-slot predictions.
+
+    sv_argmax maps slot -> predicted value index; op_argmax maps slot ->
+    predicted operation index (ignored in DIRECT mode, where every slot is an
+    UPDATE). `values_of` maps a slot to its ontology value list. The ops are
+    replayed on prev_belief by `apply_state_ops`, reading the predicted
+    values; DIRECT mode builds the same belief without the replay, with the
+    body it had before it called a one-pass decoder. Slots resolving to "none"
+    are left out of the belief map.
+    """
+    values = {slot: values_of(slot)[i] for slot, i in sv_argmax.items()}
+    if mode == DIRECT:
+        live = {slot: v for slot, v in values.items() if v != NONE_VALUE}
+        out = {k: live.get(k, v) for k, v in prev_belief.items() if k in live or k not in values}
+        out.update(live)
+        return out
+    order = op_order(four_class)
+    ops = {slot: order[op_argmax[slot]] for slot in sv_argmax}
+    return apply_state_ops(prev_belief, ops, values)
 
 
 # -- the per-turn operation head --------------------------------------------

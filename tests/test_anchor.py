@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from maskdst.data import demo_ontology
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bit_identity.py"
 
 
@@ -65,8 +67,33 @@ def test_compare_groups_keys_by_case_and_kind(bit_identity):
         "prefixes/tied/dialogue1/prefix3/area/sv": ("prefixes/tied", "prefix"),
         "curve/final/gate.w": ("curve", "curve"),
         "a_reads_b/checkpoint/beliefs/op_gated": ("a_reads_b", "beliefs"),
+        "tiny0/dialogue0/beliefs/op_gated/order": ("tiny0", "beliefs"),
     }
     assert {k: bit_identity._group(k) for k in groups} == groups
     a = np.asarray([2.0, -4.0])
     assert bit_identity._relative_difference(a, np.asarray([2.0, -3.0])) == 0.25
     assert bit_identity._relative_difference(a, None) == float("inf")
+
+
+def test_dump_records_each_belief_key_order(bit_identity):
+    """Two beliefs that differ only in key order give equal values, unequal orders."""
+    class Scripted:
+        ontology = demo_ontology()  # food, area, pricerange
+
+        def __init__(self, beliefs):
+            self.beliefs = beliefs
+
+        def predict(self, dialogue, mode):
+            return self.beliefs
+
+    a = Scripted([{"restaurant-area": "north", "restaurant-food": "thai"}, {}])
+    b = Scripted([{"restaurant-food": "thai", "restaurant-area": "north"}, {}])
+    values_a, order_a = bit_identity._beliefs(a, ["dialogue"], "direct")
+    values_b, order_b = bit_identity._beliefs(b, ["dialogue"], "direct")
+    assert np.array_equal(values_a, values_b)
+    assert order_a.tolist() == [[1, 0, -1], [-1, -1, -1]]
+    assert order_b.tolist() == [[0, 1, -1], [-1, -1, -1]]
+    out = {}
+    bit_identity._belief_values(out, "k", a, ["dialogue"])
+    assert sorted(out) == ["k/beliefs/direct", "k/beliefs/direct/order",
+                           "k/beliefs/op_gated", "k/beliefs/op_gated/order"]

@@ -363,6 +363,35 @@ class TestRejectedInput:
         out = assert_one_line_error(rc, capsys, f"{flag} directory not found")
         assert out == "" and not ok.exists()  # rejected before any work
 
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--corpus", "CORPUS", "--out", "DIR"], "--out is a directory"),
+        (["train", "--corpus", "CORPUS", "--out", "OK", "--curve", "DIR"],
+         "--curve is a directory"),
+        (["repair", "--in", "CORPUS", "--out", "OK", "--report", "DIR"],
+         "--report is a directory"),
+        (["gen-data", "--ontology", "ONTOLOGY", "--count", "1", "--out", "DIR"],
+         "--out is a directory"),
+        (["train", "--corpus", "CORPUS", "--out", "OK", "--config", "DIR"],
+         "config file not found or not a file"),
+        (["gen-data", "--ontology", "DIR", "--count", "1", "--out", "OK"],
+         "ontology file not found or not a file"),
+        (["train", "--corpus", "DIR", "--out", "OK"], "corpus file not found or not a file"),
+        (["eval", "--corpus", "CORPUS", "--checkpoint", "DIR"],
+         "checkpoint file not found or not a file"),
+    ], ids=["train-out", "train-curve", "repair-report", "gen-data-out", "train-config",
+            "gen-data-ontology", "train-corpus", "eval-checkpoint"])
+    def test_directory_given_as_file(self, tmp_path, ontology_file, corpus_file, capsys,
+                                     argv, message):
+        directory = tmp_path / "a_directory"
+        directory.mkdir()
+        ok = tmp_path / "ok.out"
+        paths = {"ONTOLOGY": ontology_file, "CORPUS": corpus_file, "OK": str(ok),
+                 "DIR": str(directory)}
+        small = ["--epochs", "1", "--d", "8", "--heads", "2", "--ff", "16"]
+        rc = main([paths.get(arg, arg) for arg in argv] + (small if argv[0] == "train" else []))
+        out = assert_one_line_error(rc, capsys, f"{message}: {directory}")
+        assert out == "" and not ok.exists()  # rejected before any work
+
     @pytest.mark.parametrize("corrupt, message", [
         (lambda ck, man: ck.write_bytes(ck.read_bytes()[:100]), "is truncated"),
         (lambda ck, man: ck.write_bytes(ck.read_bytes() + b"\0"), "bytes after its last tensor"),

@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 
 from maskdst import autodiff as ad
-from maskdst.data import NONE_VALUE, StateOp, apply_state_ops
+from maskdst.data import NONE_VALUE, StateOp, apply_state_ops, op_order
 from maskdst.heads import (
-    DIRECT,
-    OP_GATED,
-    decode_state,
+    assemble_beliefs,
     distance_logits,
     init_op_decoder,
     joint_loss,
     nll_from_logits,
     op_decoder_step,
+    replay_ops,
 )
 from reference_chains import slot_value_dist
 
@@ -162,69 +161,64 @@ class TestJointLoss:
             joint_loss({"a": ad.constant(1.0)}, {"b": ad.constant(1.0)})
 
 
-class TestDecodeState:
-    values = {
-        "food": [NONE_VALUE, "dontcare", "indian", "italian"],
-    }
+class TestBeliefDecoding:
+    """The decode ``predict`` runs: each slot's ops replayed over its values
+    (``replay_ops``, OP_GATED only), then every turn's belief assembled at once
+    (``assemble_beliefs``). A belief of the turn before is set up by a first turn
+    of UPDATEs."""
 
-    def values_of(self, slot):
-        return self.values[slot]
+    @staticmethod
+    def decode(values, ops=None):
+        return assemble_beliefs(values if ops is None else replay_ops(values, ops))
 
     def test_op_gated_all_carryover_is_identity(self):
-        prev = {"food": "indian"}
-        out = decode_state({"food": 3}, {"food": 0}, self.values_of, prev,
-                           four_class=False, mode=OP_GATED)
-        assert out == prev
+        out = self.decode({"food": ["indian", "italian"]},
+                          {"food": [StateOp.UPDATE, StateOp.CARRYOVER]})
+        assert out == [{"food": "indian"}] * 2
 
     def test_direct_takes_value_argmax(self):
-        out = decode_state({"food": 2}, {}, self.values_of, {}, False, DIRECT)
-        assert out == {"food": "indian"}
+        assert self.decode({"food": ["indian"]}) == [{"food": "indian"}]
 
     def test_direct_none_leaves_slot_out(self):
-        out = decode_state({"food": 0}, {}, self.values_of, {}, False, DIRECT)
-        assert out == {}
+        assert self.decode({"food": [NONE_VALUE]}) == [{}]
 
     def test_op_gated_case_enumeration(self):
-        # every (op, argmax) combination behaves per the taxonomy
-        prev = {"food": "italian"}
-        ops = {"CARRYOVER": 0, "DONTCARE": 1, "UPDATE": 2, "DELETE": 3}
-        for value_idx in range(4):
-            out = decode_state({"food": value_idx}, {"food": ops["CARRYOVER"]},
-                               self.values_of, prev, True, OP_GATED)
-            assert out == prev
-            out = decode_state({"food": value_idx}, {"food": ops["DONTCARE"]},
-                               self.values_of, prev, True, OP_GATED)
-            assert out == {"food": "dontcare"}
-            out = decode_state({"food": value_idx}, {"food": ops["DELETE"]},
-                               self.values_of, prev, True, OP_GATED)
-            assert out == {}
-            out = decode_state({"food": value_idx}, {"food": ops["UPDATE"]},
-                               self.values_of, prev, True, OP_GATED)
-            expected_value = self.values_of("food")[value_idx]
-            assert out == ({} if expected_value == NONE_VALUE
-                           else {"food": expected_value})
+        # every (op, predicted value) combination behaves per the taxonomy
+        for value in [NONE_VALUE, "dontcare", "indian", "italian"]:
+            expected = {StateOp.CARRYOVER: {"food": "italian"},
+                        StateOp.DONTCARE: {"food": "dontcare"},
+                        StateOp.DELETE: {},
+                        StateOp.UPDATE: {} if value == NONE_VALUE else {"food": value}}
+            for op, want in expected.items():
+                out = self.decode({"food": ["italian", value]}, {"food": [StateOp.UPDATE, op]})
+                assert out == [{"food": "italian"}, want], (op, value)
 
+    @pytest.mark.parametrize("four_class", [False, True], ids=["3-class", "4-class"])
     @pytest.mark.parametrize("seed", range(5))
-    def test_direct_equals_replaying_an_update_of_every_slot(self, seed):
-        """Key order too: a previous belief's slots keep their places (slots outside
-        the prediction included), and new ones follow in slot order."""
+    def test_equals_replaying_each_turn_with_apply_state_ops(self, seed, four_class):
+        """Key order too: a slot that stays set keeps its place in the belief, and one
+        newly set follows in slot order. DIRECT mode replays an UPDATE of every slot."""
         rng = np.random.default_rng(seed)
-        values = {s: [NONE_VALUE, "dontcare", "a", "b"] for s in "wxyz"}
-        for _ in range(500):
-            slots = list(rng.permutation(list("wxyz"))[:rng.integers(0, 5)])
-            prev = {str(k): str(rng.choice(["a", "b", "dontcare", "q"]))
-                    for k in rng.permutation(list("wxyzuv"))[:rng.integers(0, 7)]}
-            sv = {s: int(rng.integers(0, 4)) for s in slots}
-            replayed = apply_state_ops(prev, dict.fromkeys(sv, StateOp.UPDATE),
-                                       {s: values[s][i] for s, i in sv.items()})
-            out = decode_state(sv, {}, values.__getitem__, prev, False, DIRECT)
-            assert list(out.items()) == list(replayed.items())
+        choices = [NONE_VALUE, "dontcare", "a", "b"]
+        ops_of = list(op_order(four_class))
+        for _ in range(100):
+            slots = list(rng.permutation(list("wxyz"))[:rng.integers(1, 5)])
+            turns = int(rng.integers(0, 8))
+            values = {s: [str(v) for v in rng.choice(choices, size=turns)] for s in slots}
+            ops = {s: [ops_of[i] for i in rng.integers(0, len(ops_of), size=turns)]
+                   for s in slots}
+            for given in (None, ops):
+                want, prev = [], {}
+                for t in range(turns):
+                    step = {s: StateOp.UPDATE if given is None else given[s][t] for s in slots}
+                    prev = apply_state_ops(prev, step, {s: values[s][t] for s in slots})
+                    want.append(list(prev.items()))
+                assert [list(b.items()) for b in self.decode(values, given)] == want
 
     def test_op_gated_update_to_prev_value_is_noop(self):
-        prev = {"food": "italian"}
-        out = decode_state({"food": 3}, {"food": 2}, self.values_of, prev,
-                           True, OP_GATED)
-        assert out == prev
+        out = self.decode({"food": ["italian", "italian"]},
+                          {"food": [StateOp.UPDATE, StateOp.UPDATE]})
+        assert out == [{"food": "italian"}] * 2
 
 
 class TestDistanceLogitsBatch:
