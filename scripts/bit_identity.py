@@ -15,6 +15,9 @@ process (BLAS pinned to one thread) and writes the values below to
   the loss, the ``LossReport`` and every ``.grad`` (joint and ``sv_only``),
   and the direct and op-gated beliefs, each with its key order;
 - ``tiny_setup`` seeds 0-2: the same per-dialogue values;
+- on ``MULTI_LENGTH_ONTOLOGY``, whose catalog frames span five lengths, two
+  of them held by a single entry each, for the default config and for d=8 on 4
+  dialogues of 2-5 turns: the same values as for the 16 model cases;
 - for the default config, with separate and with tied branches, on 2
   dialogues of 8-10 turns: the no-grad ``forward`` logits of every prefix,
   in call order on one tracker, so values reused from an earlier prefix are
@@ -65,6 +68,16 @@ MODEL_CASES = [
     for four, tie, n, hier in itertools.product([False, True], [False, True], [1, 3], [1, 2])
 ]
 MODES = ("direct", "op_gated")
+# Catalog frames ([CLS] text [SEP]) of lengths 3 to 6 and 11; lengths 6 and 11 each
+# have one entry. The demo ontology spans only lengths 3 and 4. Padding the
+# other frames to 11 tokens, past numpy's 8-element sum blocks, would change
+# their bits, so this case catches a catalog that pads.
+MULTI_LENGTH_ONTOLOGY = {
+    "hotel-name": ["none", "dontcare", "acorn guest house", "alexander bed and breakfast",
+                   "gonville", "university arms hotel by the park on regent street"],
+    "hotel-area": ["none", "dontcare", "north", "east side", "city centre"],
+    "train-leave at": ["none", "dontcare", "morning", "late evening", "after nine pm"],
+}
 ANCHOR = Path(__file__).resolve().parents[1] / "tests" / "anchor.npz"
 ANCHOR_RTOL = 1e-10
 
@@ -157,7 +170,7 @@ def _checkpoint_dialogues():
 def run_dump(src: Path, out_dir: Path):
     _import_from(src)
     from maskdst import checkpoint, training
-    from maskdst.data import GenShape, build_vocab, demo_ontology, generate_corpus
+    from maskdst.data import GenShape, Ontology, build_vocab, demo_ontology, generate_corpus
     from maskdst.model import ModelConfig
 
     out = {}
@@ -175,6 +188,12 @@ def run_dump(src: Path, out_dir: Path):
     for seed in range(3):
         tracker, dialogue = training.tiny_setup(seed)
         _tracker_values(out, f"tiny{seed}", tracker, [dialogue])
+    multi = Ontology(MULTI_LENGTH_ONTOLOGY)
+    multi_corpus = generate_corpus(multi, 4, seed=13, shape=GenShape(min_turns=2, max_turns=5))
+    multi_vocab = build_vocab(multi_corpus, multi)
+    d8 = ModelConfig(d=8, heads=2, encoder_layers=1, ff=16, seed=5)
+    for key, cfg in (("multilength-default", ModelConfig()), ("multilength-d8", d8)):
+        _tracker_values(out, key, _tracker(cfg, multi_vocab, multi, False), multi_corpus)
     long = generate_corpus(onto, 2, seed=12, shape=GenShape(min_turns=8, max_turns=10))
     for key, tie in (("default", False), ("tied", True)):
         tracker = _tracker(ModelConfig(), build_vocab(long, onto), onto, tie)

@@ -104,9 +104,9 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     # -- operator sugar -------------------------------------------------
-    # __add__, __sub__, __mul__, __truediv__, __matmul__ and __getitem__
-    # are the op functions themselves (bound after them, below), which
-    # saves a call per node.
+    # __add__, __sub__, __mul__, __matmul__ and __getitem__ are the op
+    # functions themselves (bound after them, below), which saves a call
+    # per node.
     def __radd__(self, other):
         return add(other, self)
 
@@ -223,38 +223,6 @@ def relu(a) -> Tensor:
 
 
 # -- shape manipulation -------------------------------------------------
-
-def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
-    out = a.data.reshape(shape)
-
-    def bwd(g):
-        return (g.reshape(a.shape),)
-
-    return Tensor(out, _parents=(a,), _backward=bwd)
-
-
-def transpose(a, axes) -> Tensor:
-    a = as_tensor(a)
-    out = a.data.transpose(axes)
-
-    def bwd(g):
-        return (g.transpose(np.argsort(axes)),)
-
-    return Tensor(out, _parents=(a,), _backward=bwd)
-
-
-def concat(tensors, axis=0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def bwd(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return Tensor(out, _parents=tuple(tensors), _backward=bwd)
-
 
 def stack(tensors, axis=0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]

@@ -155,12 +155,6 @@ def belief_value(belief: dict, slot: str) -> str:
     return belief.get(slot, NONE_VALUE)
 
 
-def beliefs_equal(a: dict, b: dict, ontology: Ontology) -> bool:
-    return all(
-        belief_value(a, s) == belief_value(b, s) for s in ontology.slot_names
-    )
-
-
 # -- tokenizer ----------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")

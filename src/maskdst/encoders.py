@@ -100,13 +100,16 @@ def encoder_block(params, prefix, x: Tensor, heads: int,
 # -- turn encoding -------------------------------------------------------
 
 def encode_turn(ids, params, prefix, cfg) -> Tensor:
-    """Token states [L x d] of one token-id frame; row 0 is the [CLS] position.
+    """Token states [(n x) L x d] of one token-id frame [L], or of n frames of one
+    length [n x L]; row 0 of a frame is its [CLS] position.
 
-    Frames are never padded, so no key is masked.
+    Frames are never padded, so no key is masked. Each of n frames is computed
+    exactly as it is alone: every stage issues one BLAS call per frame, with
+    the frame's row count.
     """
     ids = np.asarray(ids, dtype=np.int64)
     x = ad.embedding(params[f"{prefix}.embed"], ids)
-    x = x + ad.constant(positional_matrix(range(len(ids)), cfg.d))
+    x = x + ad.constant(positional_matrix(range(ids.shape[-1]), cfg.d))
     for layer in range(cfg.encoder_layers):
         x = encoder_block(params, f"{prefix}.l{layer}", x, cfg.heads)
     return x
@@ -116,24 +119,34 @@ def encode_turn(ids, params, prefix, cfg) -> Tensor:
 
 @dataclass
 class SlotCatalog:
-    slot_vecs: dict    # slot -> np.ndarray [d]
-    value_mats: dict   # slot -> np.ndarray [|v_s| x d], rows in ontology order
+    slot_mat: np.ndarray  # [J x d], rows in ontology slot order
+    slot_vecs: dict       # slot -> its row [d] of slot_mat
+    value_mats: dict      # slot -> np.ndarray [|v_s| x d], rows in ontology order
 
 
 def encode_catalog(ontology: Ontology, frozen_params, prefix, cfg,
                    vocab: Vocabulary) -> SlotCatalog:
-    """Encode every slot name and candidate value with the frozen encoder.
+    """Encode every slot name and candidate value with the frozen encoder, pooled
+    to the [CLS] row of its frame.
 
-    Outputs are plain arrays: nothing here participates in any gradient
-    graph, which is the stop-gradient contract for the frozen encoder.
+    Entries whose frames have one length run as one ``encode_turn`` batch, so a
+    catalog costs one encoder pass per distinct frame length, bit for bit the
+    same as one pass per entry. Outputs are plain arrays: nothing here
+    participates in any gradient graph, which is the stop-gradient contract for
+    the frozen encoder.
     """
-    def pooled(text):
-        ids = tokenize_catalog_entry(text, vocab)
-        return encode_turn(ids, frozen_params, prefix, cfg).data[0].copy()
-
-    slot_vecs = {}
-    value_mats = {}
-    for slot in ontology.slot_names:
-        slot_vecs[slot] = pooled(slot)
-        value_mats[slot] = np.stack([pooled(v) for v in ontology.values_of(slot)])
-    return SlotCatalog(slot_vecs=slot_vecs, value_mats=value_mats)
+    slots = ontology.slot_names
+    texts = slots + [v for s in slots for v in ontology.values_of(s)]
+    frames = [tokenize_catalog_entry(text, vocab) for text in texts]
+    by_length = {}
+    for i, ids in enumerate(frames):
+        by_length.setdefault(len(ids), []).append(i)
+    pooled = np.empty((len(texts), cfg.d))
+    with ad.no_grad():
+        for rows in by_length.values():
+            enc = encode_turn([frames[i] for i in rows], frozen_params, prefix, cfg)
+            pooled[rows] = enc.data[:, 0]
+    pooled.setflags(write=False)
+    bounds = np.cumsum([len(slots)] + [len(ontology.values_of(s)) for s in slots])
+    slot_mat, *value_mats = np.split(pooled, bounds[:-1])
+    return SlotCatalog(slot_mat, dict(zip(slots, slot_mat)), dict(zip(slots, value_mats)))

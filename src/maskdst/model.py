@@ -69,7 +69,7 @@ class ModelConfig:
 
     def __post_init__(self):
         check_config(self, {"d": 1, "heads": 1, "ff": 1, "n_history": 1, "max_turn_tokens": 3,
-                            "encoder_layers": 0, "hier_layers": 0, "seed": 0})
+                            "encoder_layers": 1, "hier_layers": 0, "seed": 0})
         if self.d % self.heads != 0:
             raise ConfigError(f"model dim {self.d} not divisible by {self.heads} heads")
 
@@ -167,7 +167,7 @@ class StateTracker:
         turns = dialogue.turns
         t_total = len(turns)
 
-        slot_vecs = np.stack([self.catalog.slot_vecs[s] for s in slots])
+        slot_vecs = self.catalog.slot_mat
         summaries = self._word_summaries(turns, ad.constant(slot_vecs))
         masks = {GLOB: fusion.build_mask(t_total, fusion.GLOBAL),
                  LOC: fusion.build_mask(t_total, fusion.LOCAL, cfg.n_history)}

@@ -2,7 +2,8 @@
 
 - Primitive nodes that only these chains and the tests use, moved here from
   ``maskdst.autodiff``: ``tsum``, ``tmean``, ``div``, ``sigmoid``, ``exp``,
-  ``log``, ``sqrt`` and ``euclidean_distance`` unchanged, and
+  ``log``, ``sqrt``, ``reshape``, ``transpose``, ``concat`` and
+  ``euclidean_distance`` unchanged, and
   ``masked_softmax`` as an add node then ``ad.softmax`` (the same values
   and gradients as its old single node).
 - The chains of primitive nodes that the fused ops in ``maskdst.autodiff``
@@ -29,6 +30,12 @@
   [T x d] rows, and decodes its beliefs with one ``decode_state`` call per
   turn, as ``StateTracker`` did before those stages took a slot axis and
   ``predict`` decoded in one pass.
+- The per-entry catalog encoder: ``encode_catalog_per_entry`` runs one
+  ``encode_turn`` pass per slot name and per candidate value, as
+  ``encoders.encode_catalog`` did before it batched the entries of each frame
+  length.
+- ``beliefs_equal``: whether two beliefs agree on every slot, an absent slot
+  reading "none".
 - The per-turn belief decoder: ``decode_state`` builds one turn's belief from
   the belief of the turn before, as ``heads.decode_state`` did before
   ``predict`` replayed each slot's ops on its own and assembled every turn's
@@ -43,7 +50,7 @@ from typing import Optional
 import numpy as np
 
 from maskdst import autodiff as ad
-from maskdst import fusion
+from maskdst import encoders, fusion
 from maskdst.autodiff import Tensor
 from maskdst.data import (
     NONE_VALUE,
@@ -52,6 +59,7 @@ from maskdst.data import (
     belief_value,
     derive_state_ops,
     op_order,
+    tokenize_catalog_entry,
 )
 from maskdst.heads import DIRECT, distance_logits, joint_loss, nll_from_logits
 from maskdst.model import GLOB, LOC, StateTracker
@@ -130,6 +138,38 @@ def sqrt(a) -> Tensor:
     return Tensor(out, _parents=(a,), _backward=bwd)
 
 
+def reshape(a, shape) -> Tensor:
+    a = ad.as_tensor(a)
+    out = a.data.reshape(shape)
+
+    def bwd(g):
+        return (g.reshape(a.shape),)
+
+    return Tensor(out, _parents=(a,), _backward=bwd)
+
+
+def transpose(a, axes) -> Tensor:
+    a = ad.as_tensor(a)
+    out = a.data.transpose(axes)
+
+    def bwd(g):
+        return (g.transpose(np.argsort(axes)),)
+
+    return Tensor(out, _parents=(a,), _backward=bwd)
+
+
+def concat(tensors, axis=0) -> Tensor:
+    tensors = [ad.as_tensor(t) for t in tensors]
+    out = np.concatenate([t.data for t in tensors], axis=axis)
+    sizes = [t.shape[axis] for t in tensors]
+    splits = np.cumsum(sizes)[:-1]
+
+    def bwd(g):
+        return tuple(np.split(g, splits, axis=axis))
+
+    return Tensor(out, _parents=tuple(tensors), _backward=bwd)
+
+
 def masked_softmax(logits, mask) -> Tensor:
     """Softmax(logits + mask) along the last axis.
 
@@ -154,7 +194,7 @@ def per_slot(w, like):
     if like.ndim != 3:
         return w
     stacked = ad.stack([w] * like.shape[0])
-    return stacked if stacked.ndim == 3 else ad.reshape(stacked, (like.shape[0], 1, -1))
+    return stacked if stacked.ndim == 3 else reshape(stacked, (like.shape[0], 1, -1))
 
 
 def multi_head_attention(params, prefix, query: Tensor, keys: Tensor,
@@ -170,17 +210,17 @@ def multi_head_attention(params, prefix, query: Tensor, keys: Tensor,
     swap = (0, 2, 1, 3) if lead else (1, 0, 2)  # rows <-> heads
 
     def split(x, length):
-        return ad.transpose(ad.reshape(x, (*lead, length, heads, dh)), swap)
+        return transpose(reshape(x, (*lead, length, heads, dh)), swap)
 
     q = split(query @ per_slot(params[f"{prefix}.wq"], query), lq)
     k = split(keys @ per_slot(params[f"{prefix}.wk"], keys), lk)
     v = split(keys @ per_slot(params[f"{prefix}.wv"], keys), lk)
-    scores = (q @ ad.transpose(k, (0, 1, 3, 2) if lead else (0, 2, 1))) * (dh ** -0.5)
+    scores = (q @ transpose(k, (0, 1, 3, 2) if lead else (0, 2, 1))) * (dh ** -0.5)
     if mask is None:
         mask = np.zeros(lk)
     weights = masked_softmax(scores, mask)
     out = weights @ v  # [J x] h x Lq x dh
-    out = ad.reshape(ad.transpose(out, swap), (*lead, lq, d))
+    out = reshape(transpose(out, swap), (*lead, lq, d))
     return out @ per_slot(params[f"{prefix}.wo"], out)
 
 
@@ -208,7 +248,7 @@ def linear(x, w, b) -> Tensor:
 
 def gate_mix(a, b, w, bias):
     a, b = ad.as_tensor(a), ad.as_tensor(b)
-    both = ad.concat([a, b], axis=-1)
+    both = concat([a, b], axis=-1)
     gate = sigmoid(ad.linear(both, w, bias))
     return gate * a + (1.0 - gate) * b, ad.constant(gate.data)
 
@@ -222,7 +262,7 @@ def softmax_nll(logits, gold) -> Tensor:
 
 def neg_distance(queries, points) -> Tensor:
     t, d = queries.shape
-    q = ad.reshape(queries, (t, 1, d))
+    q = reshape(queries, (t, 1, d))
     return -euclidean_distance(q, ad.constant(points[None, :, :]))
 
 
@@ -255,10 +295,22 @@ def slot_context(params, prefix, slot_vec: np.ndarray, hier_out: Tensor,
         raise ad.ShapeError(f"turn {t} outside 1..{total}")
     lo = 0 if window == FULL_PREFIX else max(0, t - 1 - n)
     keys = hier_out[lo:t]
-    query = ad.reshape(slot_vec if isinstance(slot_vec, Tensor) else ad.constant(slot_vec),
-                       (1, -1))
+    query = reshape(slot_vec if isinstance(slot_vec, Tensor) else ad.constant(slot_vec),
+                    (1, -1))
     out = fusion.multi_head_attention(params, f"{prefix}.slotatt", query, keys, heads)
     return out[0]
+
+
+def encode_catalog_per_entry(ontology, frozen_params, prefix, cfg, vocab):
+    """``encoders.encode_catalog`` with one ``encode_turn`` pass per catalog entry."""
+    def pooled(text):
+        ids = tokenize_catalog_entry(text, vocab)
+        return encoders.encode_turn(ids, frozen_params, prefix, cfg).data[0].copy()
+
+    slot_vecs = {s: pooled(s) for s in ontology.slot_names}
+    value_mats = {s: np.stack([pooled(v) for v in ontology.values_of(s)])
+                  for s in ontology.slot_names}
+    return encoders.SlotCatalog(np.stack(list(slot_vecs.values())), slot_vecs, value_mats)
 
 
 @dataclass
@@ -269,12 +321,16 @@ class SlotValueDistribution:
 
 def slot_value_dist(d_st: Tensor, value_matrix: np.ndarray) -> SlotValueDistribution:
     """The value distribution of one query d_st [d] over value_matrix [V x d]."""
-    logits = distance_logits(ad.reshape(d_st, (1, -1)), value_matrix)
+    logits = distance_logits(reshape(d_st, (1, -1)), value_matrix)
     probs = ad.softmax(logits)[0]
     return SlotValueDistribution(probs=probs, chosen=int(np.argmax(probs.data)))
 
 
 # -- the per-turn belief decoder -------------------------------------------
+
+def beliefs_equal(a: dict, b: dict, ontology) -> bool:
+    return all(belief_value(a, s) == belief_value(b, s) for s in ontology.slot_names)
+
 
 def decode_state(sv_argmax: dict, op_argmax: dict, values_of, prev_belief: dict,
                  four_class: bool, mode: str = DIRECT) -> dict:
@@ -332,7 +388,7 @@ class PerTurnOpTracker(StateTracker):
             # the chains read the local contexts through one node, so that these take
             # the gate's gradient terms before the op head's for every slot, as they
             # do from StateTracker's single op head node
-            loc = ad.reshape(out.slot_contexts[1], out.slot_contexts[1].shape)
+            loc = reshape(out.slot_contexts[1], out.slot_contexts[1].shape)
             for j, slot in enumerate(self.ontology.slot_names):
                 logits = op_logits(self.params, loc[j])
                 op_probs[slot] = [ad.softmax(logits[t]) for t in range(len(dialogue.turns))]
@@ -419,7 +475,7 @@ class PerSlotTracker(StateTracker):
         branch_word = {}
         for i, branch in enumerate((GLOB, LOC)):
             stacked = ad.stack([s[i] for s in summaries], axis=0)  # T x J x d
-            branch_word[branch] = ad.transpose(stacked, (1, 0, 2))  # J x T x d
+            branch_word[branch] = transpose(stacked, (1, 0, 2))  # J x T x d
 
         sv_logits = {}
         ops = {}

@@ -18,7 +18,6 @@ from maskdst.data import (
     StateOp,
     Turn,
     apply_state_ops,
-    beliefs_equal,
     demo_ontology,
     derive_state_ops,
     generate_corpus,
@@ -36,7 +35,7 @@ from maskdst.training import (
 )
 from maskdst.data import build_vocab
 
-from reference_chains import masked_softmax, slot_value_dist, tie_branches
+from reference_chains import beliefs_equal, masked_softmax, slot_value_dist, tie_branches
 
 
 def report(name, detail=""):

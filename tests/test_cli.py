@@ -11,6 +11,7 @@ from maskdst import data, encoders, training
 from maskdst.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from maskdst.data import demo_ontology, generate_corpus, load_corpus, save_corpus
 from maskdst.model import ModelConfig, StateTracker
+from reference_chains import beliefs_equal
 
 
 @pytest.fixture
@@ -102,7 +103,7 @@ class TestDeriveOps:
             prev = {}
             for turn in d.turns:
                 prev = data.apply_state_ops(prev, turn.ops, turn.belief)
-                assert data.beliefs_equal(prev, turn.belief, ontology)
+                assert beliefs_equal(prev, turn.belief, ontology)
 
 
 class TestRepairCommand:
@@ -259,11 +260,12 @@ class TestRejectedInput:
         (["--heads", "0"], "heads must be >= 1, got 0"),
         (["--ff", "0"], "ff must be >= 1, got 0"),
         (["--n-history", "0"], "n_history must be >= 1, got 0"),
-        (["--encoder-layers", "-1"], "encoder_layers must be >= 0, got -1"),
+        (["--encoder-layers", "-1"], "encoder_layers must be >= 1, got -1"),
+        (["--encoder-layers", "0"], "encoder_layers must be >= 1, got 0"),
         (["--hier-layers", "-1"], "hier_layers must be >= 0, got -1"),
         (["--seed", "-1"], "seed must be >= 0, got -1"),
         (["--lr", "nan"], "learning rate must be positive, got nan"),
-    ], ids=["d-0", "heads-0", "ff-0", "n-history-0", "encoder-layers-negative",
+    ], ids=["d-0", "heads-0", "ff-0", "n-history-0", "encoder-layers-negative", "encoder-layers-0",
             "hier-layers-negative", "seed-negative", "lr-nan"])
     def test_bad_size_flag(self, tmp_path, corpus_file, capsys, flags, message):
         ck = tmp_path / "m.ckpt"
@@ -423,6 +425,8 @@ class TestRejectedInput:
          "trainable tensor 'turn.embed' disagrees with its config and vocabulary"),
         (lambda ck, man: man["config"].update(d=4),
          "trainable tensor 'gate.b' disagrees with its config and vocabulary"),
+        (lambda ck, man: man["config"].update(encoder_layers=0),
+         "encoder_layers must be >= 1, got 0"),
         (lambda ck, man: man["tensors"][0]["shape"].__setitem__(0, 8.0),
          "manifest.json tensors[0].shape[0] must be an int, got float"),
         (lambda ck, man: man["tensors"][3].update(role="optimizer"),
@@ -431,7 +435,8 @@ class TestRejectedInput:
             "learned-positions", "no-positions", "tied-paths", "manifest-not-object",
             "no-tensors", "no-config", "no-vocab", "no-ontology", "no-ontology-hash",
             "entry-no-name", "entry-no-role", "entry-no-shape", "name-list", "vocab-token-int",
-            "vocab-longer-than-embedding", "config-d-disagrees", "shape-entry-float",
+            "vocab-longer-than-embedding", "config-d-disagrees", "encoder-layers-0",
+            "shape-entry-float",
             "role-unknown"])
     def test_eval_corrupt_checkpoint(self, corpus_file, checkpoint_file, capsys,
                                      corrupt, message):

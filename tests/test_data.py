@@ -26,6 +26,7 @@ from maskdst.data import (
     tokenize_catalog_entry,
     tokenize_turn,
 )
+from reference_chains import beliefs_equal
 
 
 @pytest.fixture
@@ -214,7 +215,7 @@ class TestReplayRoundTrip:
             for turn in d.turns:
                 ops = derive_state_ops(prev, turn.belief, ontology, four_class)
                 prev = apply_state_ops(prev, ops, turn.belief)
-                assert data.beliefs_equal(prev, turn.belief, ontology)
+                assert beliefs_equal(prev, turn.belief, ontology)
 
 
 class TestRepairInheritance:

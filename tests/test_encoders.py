@@ -1,17 +1,33 @@
+import importlib.util
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from maskdst import autodiff as ad
-from maskdst.data import Ontology, Vocabulary, tokenize_catalog_entry
+from maskdst import encoders
+from maskdst.data import (
+    GenShape,
+    Ontology,
+    Vocabulary,
+    build_vocab,
+    demo_ontology,
+    generate_corpus,
+    tokenize_catalog_entry,
+)
 from maskdst.encoders import (
+    ConfigError,
     encode_catalog,
     encode_turn,
     encoder_block,
     init_encoder,
     positional_encoding,
 )
-from maskdst.model import ModelConfig
-from reference_chains import tsum
+from maskdst.model import ModelConfig, StateTracker
+from maskdst.training import tiny_setup
+from reference_chains import encode_catalog_per_entry, tsum
+from test_fused_ops import MODEL_CASES, case_tracker
 
 
 @pytest.fixture
@@ -67,15 +83,20 @@ class TestEncodeTurn:
         key = lambda rows: sorted(map(tuple, np.round(rows, 12)))
         assert key(rows_a) == key(rows_b)
 
-    def test_zero_layers_degenerate_path(self, vocab):
-        cfg = ModelConfig(d=8, heads=2, encoder_layers=0, ff=16)
+    def test_zero_layers_rejected(self):
+        """With no layer every catalog entry would pool to embed[CLS] + position 0."""
+        with pytest.raises(ConfigError, match="encoder_layers must be >= 1, got 0"):
+            ModelConfig(d=8, heads=2, encoder_layers=0, ff=16)
+
+    @pytest.mark.parametrize("n, length", [(1, 3), (4, 3), (7, 5), (3, 12)])
+    def test_frames_of_one_length_batch_bit_identically(self, vocab, n, length):
+        cfg = ModelConfig(d=8, heads=2, encoder_layers=2, ff=16)
         params = make_params(cfg, vocab)
-        ids = [vocab.cls_id, 4, vocab.sep_id]
-        enc = encode_turn(ids, params, "turn", cfg)
-        expected = params["turn.embed"].data[ids] + np.stack(
-            [positional_encoding(p, 8) for p in range(3)]
-        )
-        assert np.allclose(enc.data, expected, atol=1e-15)
+        ids = np.random.default_rng(n * length).integers(0, len(vocab), (n, length))
+        batch = encode_turn(ids, params, "turn", cfg).data
+        assert batch.shape == (n, length, 8)
+        for frame, rows in zip(ids, batch):
+            assert rows.tobytes() == encode_turn(frame, params, "turn", cfg).data.tobytes()
 
     def test_out_of_range_id_rejected(self, vocab):
         cfg = ModelConfig(d=8, heads=2, encoder_layers=1, ff=16)
@@ -156,3 +177,85 @@ class TestCatalog:
         ad.backward(tsum((query - h_v) * (query - h_v)))
         assert all(p.grad is None for p in params.values())
         assert query.grad is not None
+
+
+def multi_length_world():
+    """The multi-length ontology of ``scripts/bit_identity.py``, a corpus and its vocabulary."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "bit_identity.py"
+    spec = importlib.util.spec_from_file_location("bit_identity", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    onto = Ontology(module.MULTI_LENGTH_ONTOLOGY)
+    corpus = generate_corpus(onto, 4, seed=13, shape=GenShape(min_turns=2, max_turns=5))
+    return onto, build_vocab(corpus, onto)
+
+
+def frame_lengths(onto, vocab):
+    """How many catalog entries have each frame length."""
+    entries = onto.slot_names + [v for s in onto.slot_names for v in onto.values_of(s)]
+    return Counter(len(tokenize_catalog_entry(text, vocab)) for text in entries)
+
+
+def assert_same_catalog(got, want, onto):
+    """Byte for byte, in ontology order."""
+    assert list(got.slot_vecs) == list(got.value_mats) == onto.slot_names
+    assert got.slot_mat.shape == want.slot_mat.shape
+    assert got.slot_mat.tobytes() == want.slot_mat.tobytes()
+    for j, slot in enumerate(onto.slot_names):
+        assert got.slot_vecs[slot].tobytes() == want.slot_vecs[slot].tobytes()
+        assert got.slot_vecs[slot].tobytes() == got.slot_mat[j].tobytes()
+        assert got.value_mats[slot].shape == want.value_mats[slot].shape
+        assert got.value_mats[slot].tobytes() == want.value_mats[slot].tobytes()
+
+
+class TestBatchedCatalog:
+    """``encode_catalog`` runs the entries of each frame length as one batch; the
+    per-entry oracle is ``reference_chains.encode_catalog_per_entry``."""
+
+    @pytest.mark.parametrize("case", MODEL_CASES,
+                             ids=lambda c: "-".join(f"{k}={v}" for k, v in c.items()))
+    def test_model_cases_equal_per_entry_oracle(self, case):
+        onto = demo_ontology()
+        corpus = generate_corpus(onto, 3, seed=11, shape=GenShape(min_turns=3, max_turns=5))
+        vocab = build_vocab(corpus, onto)
+        tracker = case_tracker(case, vocab, onto)
+        want = encode_catalog_per_entry(onto, tracker.frozen_params, "frozen", tracker.cfg, vocab)
+        assert_same_catalog(tracker.catalog, want, onto)
+
+    @pytest.mark.parametrize("cfg", [ModelConfig(), ModelConfig(d=8, heads=2, ff=16, seed=5),
+                                     ModelConfig(d=8, heads=2, encoder_layers=3, ff=16)],
+                             ids=["default", "d8", "d8-3-layers"])
+    def test_multi_length_ontology_equals_per_entry_oracle(self, cfg):
+        onto, vocab = multi_length_world()
+        lengths = frame_lengths(onto, vocab)
+        assert len(lengths) >= 3 and 1 in lengths.values()
+        tracker = StateTracker(cfg, vocab, onto)
+        want = encode_catalog_per_entry(onto, tracker.frozen_params, "frozen", cfg, vocab)
+        assert_same_catalog(tracker.catalog, want, onto)
+
+    @pytest.mark.parametrize("world", ["demo", "tiny", "multi-length"])
+    def test_one_encoder_pass_per_frame_length(self, world, monkeypatch):
+        if world == "tiny":
+            tracker, _ = tiny_setup(0)
+            onto, vocab = tracker.ontology, tracker.vocab
+        else:
+            onto, vocab = multi_length_world() if world == "multi-length" else (
+                demo_ontology(), build_vocab([], demo_ontology()))
+            tracker = StateTracker(ModelConfig(d=8, heads=2, ff=16), vocab, onto)
+        passes = []
+        encode = encoders.encode_turn
+        monkeypatch.setattr(encoders, "encode_turn",
+                            lambda ids, *rest: passes.append(np.shape(ids)) or encode(ids, *rest))
+        catalog = encode_catalog(onto, tracker.frozen_params, "frozen", tracker.cfg, vocab)
+        lengths = frame_lengths(onto, vocab)
+        assert len(passes) == len(lengths) == {"demo": 2, "tiny": 1, "multi-length": 5}[world]
+        assert sorted(passes) == sorted((n, length) for length, n in lengths.items())
+        assert_same_catalog(catalog, tracker.catalog, onto)
+
+    def test_catalog_is_read_only(self):
+        tracker, _ = tiny_setup(0)
+        slot = tracker.ontology.slot_names[0]
+        for array in (tracker.catalog.slot_mat, tracker.catalog.slot_vecs[slot],
+                      tracker.catalog.value_mats[slot]):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
