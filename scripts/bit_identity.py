@@ -142,8 +142,8 @@ def _dialogue_values(out, key, tracker, dialogue):
 def _tracker_values(out, key, tracker, dialogues):
     for name, p in {**tracker.params, **tracker.frozen_params}.items():
         out[f"{key}/init/{name}"] = p.data.copy()
-    for slot in tracker.ontology.slot_names:
-        out[f"{key}/catalog/{slot}/slot"] = tracker.catalog.slot_vecs[slot]
+    for j, slot in enumerate(tracker.ontology.slot_names):
+        out[f"{key}/catalog/{slot}/slot"] = tracker.catalog.slot_mat[j]
         out[f"{key}/catalog/{slot}/values"] = tracker.catalog.value_mats[slot]
     for i, d in enumerate(dialogues):
         _dialogue_values(out, f"{key}/dialogue{i}", tracker, d)

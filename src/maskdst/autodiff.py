@@ -89,35 +89,16 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self):
         return float(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # -- operator sugar -------------------------------------------------
-    # __add__, __sub__, __mul__, __matmul__ and __getitem__ are the op
-    # functions themselves (bound after them, below), which saves a call
-    # per node.
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
+    # operator sugar: __add__, __mul__ and __getitem__ are the op functions
+    # themselves (bound after them, below), which saves a call per node. They
+    # are the only operators: a Tensor takes + and * on its left side only,
+    # and no -, @ or unary minus.
 
 
 def as_tensor(x) -> Tensor:
@@ -159,19 +140,6 @@ def add(a, b) -> Tensor:
     return Tensor(out, _parents=(a, b), _backward=bwd)
 
 
-def sub(a, b) -> Tensor:
-    if not isinstance(a, Tensor):
-        a = Tensor(a)
-    if not isinstance(b, Tensor):
-        b = Tensor(b)
-    out = a.data - b.data
-
-    def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return Tensor(out, _parents=(a, b), _backward=bwd)
-
-
 def mul(a, b) -> Tensor:
     if not isinstance(a, Tensor):
         a = Tensor(a)
@@ -192,22 +160,6 @@ def _check_matmul(a: np.ndarray, b: np.ndarray) -> None:
         raise RankError(f"matmul needs rank >= 2 operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents disagree: {a.shape} @ {b.shape}")
-
-
-def matmul(a, b) -> Tensor:
-    if not isinstance(a, Tensor):
-        a = Tensor(a)
-    if not isinstance(b, Tensor):
-        b = Tensor(b)
-    _check_matmul(a.data, b.data)
-    out = a.data @ b.data
-
-    def bwd(g):
-        ga = _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape) if a.requires_grad else None
-        gb = _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape) if b.requires_grad else None
-        return ga, gb
-
-    return Tensor(out, _parents=(a, b), _backward=bwd)
 
 
 # -- elementwise nonlinearities -----------------------------------------
@@ -251,9 +203,7 @@ def getitem(a, idx) -> Tensor:
 
 # operator sugar, see the Tensor class
 Tensor.__add__ = add
-Tensor.__sub__ = sub
 Tensor.__mul__ = mul
-Tensor.__matmul__ = matmul
 Tensor.__getitem__ = getitem
 
 
@@ -297,20 +247,6 @@ def _softmax_grad(g: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def _as_mask(mask) -> np.ndarray:
     return mask.data if isinstance(mask, Tensor) else np.asarray(mask, dtype=np.float64)
-
-
-def softmax(logits) -> Tensor:
-    """Softmax along the last axis; -inf entries come out exactly 0.
-
-    A row of only -inf (a fully masked row) raises rather than emitting NaN.
-    """
-    logits = as_tensor(logits)
-    out = _softmax_rows(logits.data)
-
-    def bwd(g):
-        return (_softmax_grad(g, out),)
-
-    return Tensor(out, _parents=(logits,), _backward=bwd)
 
 
 # -- fused nodes ----------------------------------------------------------

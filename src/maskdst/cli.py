@@ -56,13 +56,18 @@ def _require_file(path, what):
 
 
 def _check_output_dirs(args):
-    """Reject an output path that is a directory or whose directory is missing or read-only."""
+    """Reject an output path that is empty or a directory, or whose directory is missing
+    or read-only."""
     for flag in ("out", "report", "curve"):
         path = getattr(args, flag, None)
-        directory = os.path.dirname(os.path.abspath(path or "."))
-        if path and os.path.isdir(path):
+        if path is None:
+            continue
+        if not path:
+            raise ValidationError(f"--{flag} is empty")
+        directory = os.path.dirname(os.path.abspath(path))
+        if os.path.isdir(path):
             raise ValidationError(f"--{flag} is a directory: {path}")
-        if path and not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
+        if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
             raise ValidationError(f"--{flag} directory not found or not writable: {directory}")
 
 
@@ -142,6 +147,8 @@ def cmd_eval(args):
 
 
 def cmd_grad_check(args):
+    if not 0.0 < args.tolerance < float("inf"):
+        raise ValidationError(f"--tolerance must be finite and > 0, got {args.tolerance}")
     report = training.grad_check(seed=args.seed, tolerance=args.tolerance)
     for name in sorted(report.max_rel_err):
         print(f"{name}: max rel err {report.max_rel_err[name]:.3e}")

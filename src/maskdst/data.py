@@ -255,18 +255,6 @@ def slot_after(op: StateOp, held: str, value: str) -> str:
     return NONE_VALUE if op is StateOp.DELETE else value
 
 
-def apply_state_ops(prev: dict, ops: dict, cur: dict) -> dict:
-    """Replay one turn of operations, reading new values from `cur`."""
-    out = dict(prev)
-    for slot, op in ops.items():
-        value = slot_after(op, belief_value(out, slot), belief_value(cur, slot))
-        if value == NONE_VALUE:
-            out.pop(slot, None)
-        else:
-            out[slot] = value
-    return out
-
-
 def annotate_ops(dialogue: Dialogue, ontology: Ontology,
                  four_class: bool = False) -> Dialogue:
     """Attach derived per-turn operation labels to every turn."""

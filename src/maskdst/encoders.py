@@ -120,7 +120,6 @@ def encode_turn(ids, params, prefix, cfg) -> Tensor:
 @dataclass
 class SlotCatalog:
     slot_mat: np.ndarray  # [J x d], rows in ontology slot order
-    slot_vecs: dict       # slot -> its row [d] of slot_mat
     value_mats: dict      # slot -> np.ndarray [|v_s| x d], rows in ontology order
 
 
@@ -149,4 +148,4 @@ def encode_catalog(ontology: Ontology, frozen_params, prefix, cfg,
     pooled.setflags(write=False)
     bounds = np.cumsum([len(slots)] + [len(ontology.values_of(s)) for s in slots])
     slot_mat, *value_mats = np.split(pooled, bounds[:-1])
-    return SlotCatalog(slot_mat, dict(zip(slots, slot_mat)), dict(zip(slots, value_mats)))
+    return SlotCatalog(slot_mat, dict(zip(slots, value_mats)))

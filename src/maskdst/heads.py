@@ -108,7 +108,8 @@ def replay_ops(values: dict, ops: dict) -> dict:
 def assemble_beliefs(values: dict) -> list:
     """The belief of each turn from each slot's value per turn: a slot that stays set
     keeps its place, one newly set follows in slot order, one resolving to "none" is
-    left out, as replaying the turns one by one with ``data.apply_state_ops`` does."""
+    left out, as replaying the turns one by one with the oracle ``apply_state_ops`` in
+    ``tests/reference_chains.py`` does."""
     beliefs, prev = [], {}
     for row in zip(*values.values()):
         live = {slot: v for slot, v in zip(values, row) if v != NONE_VALUE}

@@ -88,11 +88,6 @@ class DialogueOutput:
     op_logits: dict      # slot -> Tensor [T x K]; empty when ops are not run
     slot_contexts: tuple  # (glob, loc, fused), each a Tensor [J x T x d]
 
-    @property
-    def contexts(self) -> dict:
-        """slot -> its rows (glob, loc, fused) [T x d] of slot_contexts."""
-        return {s: tuple(c[j] for c in self.slot_contexts) for j, s in enumerate(self.sv_logits)}
-
 
 def init_params(cfg: ModelConfig, vocab_size: int, generator=np.random.default_rng):
     """Fresh (trainable, frozen) tracker parameters, each set drawn from `generator(seed)`."""
@@ -226,14 +221,15 @@ class StateTracker:
         replayed through its predicted ops, then assembled into beliefs in one pass."""
         with ad.no_grad():
             out = self.forward(dialogue, with_ops=mode != DIRECT)
-        # each slot's argmax over all turns at once; no op head runs in DIRECT mode
+        # each slot's argmax over all turns at once, of the raw logits (a tie goes to
+        # the first index); no op head runs in DIRECT mode
         values = {}
         for s, logits in out.sv_logits.items():
             candidates = self.ontology.values_of(s)
             values[s] = [candidates[i] for i in logits.data.argmax(axis=-1).tolist()]
         if mode != DIRECT:
             order = op_order(self.cfg.four_class)
-            ops = {s: [order[i] for i in ad.softmax(logits).data.argmax(axis=-1).tolist()]
+            ops = {s: [order[i] for i in logits.data.argmax(axis=-1).tolist()]
                    for s, logits in out.op_logits.items()}
             values = replay_ops(values, ops)
         return assemble_beliefs(values)

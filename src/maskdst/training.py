@@ -290,7 +290,8 @@ def grad_check(seed: int = 0, tolerance: float = 1e-4, step: float = 1e-5,
     """Compare analytic gradients of the joint loss with central differences.
 
     Relative error uses a small floor so finite-difference noise on
-    near-zero entries does not register as failure.
+    near-zero entries does not register as failure. A NaN error (from a
+    non-finite gradient or loss) is its tensor's worst and fails it.
     """
     if tracker is None:
         tracker, dialogue = tiny_setup(seed)
@@ -324,9 +325,9 @@ def grad_check(seed: int = 0, tolerance: float = 1e-4, step: float = 1e-5,
             numeric = (up - down) / (2.0 * step)
             a = a_flat[i]
             rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-3)
-            worst = max(worst, rel)
+            worst = np.maximum(worst, rel)  # NaN propagates; max() would drop it
         max_rel_err[name] = worst
-        if worst >= tolerance:
+        if not worst < tolerance:
             failures.append((name, worst))
     return GradCheckReport(max_rel_err=max_rel_err, tolerance=tolerance,
                            failures=failures)

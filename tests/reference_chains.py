@@ -1,11 +1,13 @@
 """Reference oracles that the batched and fused paths of ``maskdst`` must match.
 
 - Primitive nodes that only these chains and the tests use, moved here from
-  ``maskdst.autodiff``: ``tsum``, ``tmean``, ``div``, ``sigmoid``, ``exp``,
-  ``log``, ``sqrt``, ``reshape``, ``transpose``, ``concat`` and
-  ``euclidean_distance`` unchanged, and
-  ``masked_softmax`` as an add node then ``ad.softmax`` (the same values
-  and gradients as its old single node).
+  ``maskdst.autodiff``: ``sub``, ``matmul``, ``softmax``, ``tsum``, ``tmean``,
+  ``div``, ``sigmoid``, ``exp``, ``log``, ``sqrt``, ``reshape``, ``transpose``,
+  ``concat`` and ``euclidean_distance`` unchanged, and ``masked_softmax`` as an
+  add node then ``softmax`` (the same values and gradients as its old single
+  node). ``Tensor`` binds only +, * and indexing, so the chains call these
+  functions where they once wrote ``a - b``, ``a @ b`` or ``-x``; ``-x`` was
+  the node ``ad.mul(x, -1.0)``, which they now build by name.
 - The chains of primitive nodes that the fused ops in ``maskdst.autodiff``
   replaced, kept unchanged: the old ``encoders.multi_head_attention`` body,
   the old ``autodiff.layer_norm``, matmul followed by add, the fusion gate,
@@ -35,7 +37,11 @@
   ``encoders.encode_catalog`` did before it batched the entries of each frame
   length.
 - ``beliefs_equal``: whether two beliefs agree on every slot, an absent slot
-  reading "none".
+  reading "none"; ``apply_state_ops``: one turn of ops replayed on a belief
+  (moved from ``maskdst.data``; ``data.slot_after`` holds the op semantics).
+- Views the program no longer keeps: ``contexts_of`` (slot -> its rows of a
+  ``DialogueOutput``'s stacked contexts) and ``slot_vecs_of`` (slot -> its row
+  of a catalog's ``slot_mat``).
 - The per-turn belief decoder: ``decode_state`` builds one turn's belief from
   the belief of the turn before, as ``heads.decode_state`` did before
   ``predict`` replayed each slot's ops on its own and assembled every turn's
@@ -55,10 +61,10 @@ from maskdst.autodiff import Tensor
 from maskdst.data import (
     NONE_VALUE,
     Dialogue,
-    apply_state_ops,
     belief_value,
     derive_state_ops,
     op_order,
+    slot_after,
     tokenize_catalog_entry,
 )
 from maskdst.heads import DIRECT, distance_logits, joint_loss, nll_from_logits
@@ -66,6 +72,49 @@ from maskdst.model import GLOB, LOC, StateTracker
 
 
 # -- primitives that only the chains use -----------------------------------
+
+def sub(a, b) -> Tensor:
+    if not isinstance(a, Tensor):
+        a = Tensor(a)
+    if not isinstance(b, Tensor):
+        b = Tensor(b)
+    out = a.data - b.data
+
+    def bwd(g):
+        return ad._unbroadcast(g, a.shape), ad._unbroadcast(-g, b.shape)
+
+    return Tensor(out, _parents=(a, b), _backward=bwd)
+
+
+def matmul(a, b) -> Tensor:
+    if not isinstance(a, Tensor):
+        a = Tensor(a)
+    if not isinstance(b, Tensor):
+        b = Tensor(b)
+    ad._check_matmul(a.data, b.data)
+    out = a.data @ b.data
+
+    def bwd(g):
+        ga = ad._unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape) if a.requires_grad else None
+        gb = ad._unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape) if b.requires_grad else None
+        return ga, gb
+
+    return Tensor(out, _parents=(a, b), _backward=bwd)
+
+
+def softmax(logits) -> Tensor:
+    """Softmax along the last axis; -inf entries come out exactly 0.
+
+    A row of only -inf (a fully masked row) raises rather than emitting NaN.
+    """
+    logits = ad.as_tensor(logits)
+    out = ad._softmax_rows(logits.data)
+
+    def bwd(g):
+        return (ad._softmax_grad(g, out),)
+
+    return Tensor(out, _parents=(logits,), _backward=bwd)
+
 
 def tsum(a, axis=None, keepdims=False) -> Tensor:
     a = ad.as_tensor(a)
@@ -82,7 +131,7 @@ def tsum(a, axis=None, keepdims=False) -> Tensor:
 
 def tmean(a, axis=None, keepdims=False) -> Tensor:
     a = ad.as_tensor(a)
-    n = a.size if axis is None else a.shape[axis]
+    n = a.data.size if axis is None else a.shape[axis]
     return tsum(a, axis=axis, keepdims=keepdims) * (1.0 / n)
 
 
@@ -176,12 +225,12 @@ def masked_softmax(logits, mask) -> Tensor:
     `mask` entries are 0 (attendable) or -inf (blocked); -inf positions
     come out exactly 0. A fully-masked row raises rather than emitting NaN.
     """
-    return ad.softmax(ad.as_tensor(logits) + ad.constant(mask))
+    return softmax(ad.as_tensor(logits) + ad.constant(mask))
 
 
 def euclidean_distance(a, b) -> Tensor:
     """L2 distance along the last axis (with numpy broadcasting)."""
-    d = ad.sub(a, b)
+    d = sub(a, b)
     return sqrt(tsum(d * d, axis=-1))
 
 
@@ -191,10 +240,10 @@ def per_slot(w, like):
     """`w` as `like` [J x L x d] takes it: stacked once per slot, [J x d x d] for a
     matrix and [J x 1 x d] for a vector, so that each slot's gradient term reaches w
     on its own and in slot order; `w` itself when `like` has no slot axis."""
-    if like.ndim != 3:
+    if like.data.ndim != 3:
         return w
     stacked = ad.stack([w] * like.shape[0])
-    return stacked if stacked.ndim == 3 else reshape(stacked, (like.shape[0], 1, -1))
+    return stacked if stacked.data.ndim == 3 else reshape(stacked, (like.shape[0], 1, -1))
 
 
 def multi_head_attention(params, prefix, query: Tensor, keys: Tensor,
@@ -212,16 +261,16 @@ def multi_head_attention(params, prefix, query: Tensor, keys: Tensor,
     def split(x, length):
         return transpose(reshape(x, (*lead, length, heads, dh)), swap)
 
-    q = split(query @ per_slot(params[f"{prefix}.wq"], query), lq)
-    k = split(keys @ per_slot(params[f"{prefix}.wk"], keys), lk)
-    v = split(keys @ per_slot(params[f"{prefix}.wv"], keys), lk)
-    scores = (q @ transpose(k, (0, 1, 3, 2) if lead else (0, 2, 1))) * (dh ** -0.5)
+    q = split(matmul(query, per_slot(params[f"{prefix}.wq"], query)), lq)
+    k = split(matmul(keys, per_slot(params[f"{prefix}.wk"], keys)), lk)
+    v = split(matmul(keys, per_slot(params[f"{prefix}.wv"], keys)), lk)
+    scores = matmul(q, transpose(k, (0, 1, 3, 2) if lead else (0, 2, 1))) * (dh ** -0.5)
     if mask is None:
         mask = np.zeros(lk)
     weights = masked_softmax(scores, mask)
-    out = weights @ v  # [J x] h x Lq x dh
+    out = matmul(weights, v)  # [J x] h x Lq x dh
     out = reshape(transpose(out, swap), (*lead, lq, d))
-    return out @ per_slot(params[f"{prefix}.wo"], out)
+    return matmul(out, per_slot(params[f"{prefix}.wo"], out))
 
 
 def attention(query, keys, wq, wk, wv, wo, heads: int, mask=None) -> Tensor:
@@ -235,7 +284,7 @@ def layer_norm(x, gain, bias, eps=1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale-shift."""
     x, gain, bias = ad.as_tensor(x), ad.as_tensor(gain), ad.as_tensor(bias)
     mu = tmean(x, axis=-1, keepdims=True)
-    xc = x - mu
+    xc = sub(x, mu)
     var = tmean(xc * xc, axis=-1, keepdims=True)
     inv = div(1.0, sqrt(var + eps))
     return xc * inv * per_slot(gain, x) + per_slot(bias, x)
@@ -243,27 +292,27 @@ def layer_norm(x, gain, bias, eps=1e-5) -> Tensor:
 
 def linear(x, w, b) -> Tensor:
     x = ad.as_tensor(x)
-    return x @ per_slot(w, x) + per_slot(b, x)
+    return matmul(x, per_slot(w, x)) + per_slot(b, x)
 
 
 def gate_mix(a, b, w, bias):
     a, b = ad.as_tensor(a), ad.as_tensor(b)
     both = concat([a, b], axis=-1)
     gate = sigmoid(ad.linear(both, w, bias))
-    return gate * a + (1.0 - gate) * b, ad.constant(gate.data)
+    return gate * a + sub(1.0, gate) * b, ad.constant(gate.data)
 
 
 def softmax_nll(logits, gold) -> Tensor:
-    probs = ad.softmax(logits)
+    probs = softmax(logits)
     rows = np.arange(probs.shape[0])
     picked = probs[(rows, np.asarray(gold, dtype=np.int64))]
-    return -tsum(log(picked))
+    return ad.mul(tsum(log(picked)), -1.0)
 
 
 def neg_distance(queries, points) -> Tensor:
     t, d = queries.shape
     q = reshape(queries, (t, 1, d))
-    return -euclidean_distance(q, ad.constant(points[None, :, :]))
+    return ad.mul(euclidean_distance(q, ad.constant(points[None, :, :])), -1.0)
 
 
 # fused op name in maskdst.autodiff -> the chain it replaced
@@ -310,7 +359,12 @@ def encode_catalog_per_entry(ontology, frozen_params, prefix, cfg, vocab):
     slot_vecs = {s: pooled(s) for s in ontology.slot_names}
     value_mats = {s: np.stack([pooled(v) for v in ontology.values_of(s)])
                   for s in ontology.slot_names}
-    return encoders.SlotCatalog(np.stack(list(slot_vecs.values())), slot_vecs, value_mats)
+    return encoders.SlotCatalog(np.stack(list(slot_vecs.values())), value_mats)
+
+
+def slot_vecs_of(catalog) -> dict:
+    """slot -> its row [d] of ``catalog.slot_mat``, slots in ontology order."""
+    return dict(zip(catalog.value_mats, catalog.slot_mat))
 
 
 @dataclass
@@ -322,7 +376,7 @@ class SlotValueDistribution:
 def slot_value_dist(d_st: Tensor, value_matrix: np.ndarray) -> SlotValueDistribution:
     """The value distribution of one query d_st [d] over value_matrix [V x d]."""
     logits = distance_logits(reshape(d_st, (1, -1)), value_matrix)
-    probs = ad.softmax(logits)[0]
+    probs = softmax(logits)[0]
     return SlotValueDistribution(probs=probs, chosen=int(np.argmax(probs.data)))
 
 
@@ -330,6 +384,18 @@ def slot_value_dist(d_st: Tensor, value_matrix: np.ndarray) -> SlotValueDistribu
 
 def beliefs_equal(a: dict, b: dict, ontology) -> bool:
     return all(belief_value(a, s) == belief_value(b, s) for s in ontology.slot_names)
+
+
+def apply_state_ops(prev: dict, ops: dict, cur: dict) -> dict:
+    """Replay one turn of operations, reading new values from `cur`."""
+    out = dict(prev)
+    for slot, op in ops.items():
+        value = slot_after(op, belief_value(out, slot), belief_value(cur, slot))
+        if value == NONE_VALUE:
+            out.pop(slot, None)
+        else:
+            out[slot] = value
+    return out
 
 
 def decode_state(sv_argmax: dict, op_argmax: dict, values_of, prev_belief: dict,
@@ -359,7 +425,12 @@ def decode_state(sv_argmax: dict, op_argmax: dict, values_of, prev_belief: dict,
 
 def op_logits(params, c_loc: Tensor) -> Tensor:
     """One slot's op logits [T x K] from its local contexts c_loc [T x d]: matmul, then add."""
-    return c_loc @ params["op.out.w"] + params["op.out.b"]
+    return matmul(c_loc, params["op.out.w"]) + params["op.out.b"]
+
+
+def contexts_of(out) -> dict:
+    """slot -> its rows (glob, loc, fused) [T x d] of a ``DialogueOutput``'s slot_contexts."""
+    return {s: tuple(c[j] for c in out.slot_contexts) for j, s in enumerate(out.sv_logits)}
 
 
 def tie_branches(tracker: StateTracker) -> StateTracker:
@@ -391,8 +462,8 @@ class PerTurnOpTracker(StateTracker):
             loc = reshape(out.slot_contexts[1], out.slot_contexts[1].shape)
             for j, slot in enumerate(self.ontology.slot_names):
                 logits = op_logits(self.params, loc[j])
-                op_probs[slot] = [ad.softmax(logits[t]) for t in range(len(dialogue.turns))]
-        return PerTurnOutput(sv_logits=out.sv_logits, op_probs=op_probs, contexts=out.contexts)
+                op_probs[slot] = [softmax(logits[t]) for t in range(len(dialogue.turns))]
+        return PerTurnOutput(sv_logits=out.sv_logits, op_probs=op_probs, contexts=contexts_of(out))
 
     def gold_value_indices(self, dialogue: Dialogue, slot: str) -> np.ndarray:
         values = self.ontology.values_of(slot)
@@ -424,7 +495,7 @@ class PerTurnOpTracker(StateTracker):
                     out.op_probs[slot][t][int(gold_o[t])]
                     for t in range(len(dialogue.turns))
                 ])
-                sop_terms[slot] = -tsum(log(picked))
+                sop_terms[slot] = ad.mul(tsum(log(picked)), -1.0)
         return joint_loss(sv_terms, sop_terms)
 
     def predict(self, dialogue: Dialogue, mode: str = DIRECT):
@@ -466,7 +537,8 @@ class PerSlotTracker(StateTracker):
         turns = dialogue.turns
         t_total = len(turns)
 
-        slot_queries = ad.constant(np.stack([self.catalog.slot_vecs[s] for s in slots]))
+        slot_vecs = slot_vecs_of(self.catalog)
+        slot_queries = ad.constant(np.stack([slot_vecs[s] for s in slots]))
         summaries = self._word_summaries(turns, slot_queries)
         glob_mask = fusion.build_mask(t_total, fusion.GLOBAL)
         loc_mask = fusion.build_mask(t_total, fusion.LOCAL, cfg.n_history)
@@ -487,7 +559,7 @@ class PerSlotTracker(StateTracker):
                     self.params, branch, branch_word[branch][j], mask, cfg.heads, cfg.hier_layers
                 )
                 ctx[branch] = fusion.slot_context_all(
-                    self.params, branch, self.catalog.slot_vecs[slot], hier_out, mask, cfg.heads,
+                    self.params, branch, slot_vecs[slot], hier_out, mask, cfg.heads,
                 )
             fused, _gate = fusion.fuse(self.params, ctx[GLOB], ctx[LOC])
             sv_logits[slot] = distance_logits(fused, self.catalog.value_mats[slot])
@@ -501,7 +573,7 @@ class PerSlotTracker(StateTracker):
         with ad.no_grad():
             out = self.forward(dialogue, with_ops=mode != DIRECT)
         sv_argmax = {s: logits.data.argmax(axis=-1).tolist() for s, logits in out.sv_logits.items()}
-        op_argmax = {s: ad.softmax(logits).data.argmax(axis=-1).tolist()
+        op_argmax = {s: softmax(logits).data.argmax(axis=-1).tolist()
                      for s, logits in out.op_logits.items()}
         beliefs = []
         prev = {}

@@ -17,7 +17,6 @@ from maskdst.data import (
     Ontology,
     StateOp,
     Turn,
-    apply_state_ops,
     demo_ontology,
     derive_state_ops,
     generate_corpus,
@@ -35,7 +34,14 @@ from maskdst.training import (
 )
 from maskdst.data import build_vocab
 
-from reference_chains import beliefs_equal, masked_softmax, slot_value_dist, tie_branches
+from reference_chains import (
+    apply_state_ops,
+    beliefs_equal,
+    contexts_of,
+    masked_softmax,
+    slot_value_dist,
+    tie_branches,
+)
 
 
 def report(name, detail=""):
@@ -96,7 +102,7 @@ def test_criterion_3_wide_local_window_equals_full_prefix():
     for d in dialogues:
         out = tracker.forward(d, with_ops=False)
         for slot in onto.slot_names:
-            glob_ctx, loc_ctx, _ = out.contexts[slot]
+            glob_ctx, loc_ctx, _ = contexts_of(out)[slot]
             worst = max(worst, float(np.abs(glob_ctx.data - loc_ctx.data).max()))
     assert worst < 1e-9, f"max branch divergence {worst:.2e}"
     report("criterion-3 window-equivalence",

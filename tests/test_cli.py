@@ -11,7 +11,7 @@ from maskdst import data, encoders, training
 from maskdst.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from maskdst.data import demo_ontology, generate_corpus, load_corpus, save_corpus
 from maskdst.model import ModelConfig, StateTracker
-from reference_chains import beliefs_equal
+from reference_chains import apply_state_ops, beliefs_equal
 
 
 @pytest.fixture
@@ -102,7 +102,7 @@ class TestDeriveOps:
         for d in dialogues:
             prev = {}
             for turn in d.turns:
-                prev = data.apply_state_ops(prev, turn.ops, turn.belief)
+                prev = apply_state_ops(prev, turn.ops, turn.belief)
                 assert beliefs_equal(prev, turn.belief, ontology)
 
 
@@ -365,6 +365,27 @@ class TestRejectedInput:
         out = assert_one_line_error(rc, capsys, f"{flag} directory not found")
         assert out == "" and not ok.exists()  # rejected before any work
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["gen-data", "--ontology", "ONTOLOGY", "--count", "1", "--out", ""], "--out"),
+        (["derive-ops", "--in", "CORPUS", "--out", ""], "--out"),
+        (["repair", "--in", "CORPUS", "--out", "", "--report", "OK"], "--out"),
+        (["repair", "--in", "CORPUS", "--out", "OK", "--report", ""], "--report"),
+        (["train", "--corpus", "CORPUS", "--out", ""], "--out"),
+        (["train", "--corpus", "CORPUS", "--out", "OK", "--curve", ""], "--curve"),
+        (["eval", "--corpus", "CORPUS", "--checkpoint", "CKPT", "--out", ""], "--out"),
+        (["ablation", "--corpus", "CORPUS", "--seeds", "0,1", "--epochs", "1", "--out", ""],
+         "--out"),
+    ], ids=["gen-data", "derive-ops", "repair-out", "repair-report", "train-out", "train-curve",
+            "eval", "ablation"])
+    def test_empty_output_path(self, tmp_path, ontology_file, corpus_file, checkpoint_file,
+                               capsys, argv, flag):
+        ok = tmp_path / "ok.json"
+        paths = {"ONTOLOGY": ontology_file, "CORPUS": corpus_file, "CKPT": checkpoint_file,
+                 "OK": str(ok)}
+        rc = main([paths.get(arg, arg) for arg in argv])
+        out = assert_one_line_error(rc, capsys, f"{flag} is empty")
+        assert out == "" and not ok.exists()  # rejected before any work
+
     @pytest.mark.parametrize("argv, message", [
         (["train", "--corpus", "CORPUS", "--out", "DIR"], "--out is a directory"),
         (["train", "--corpus", "CORPUS", "--out", "OK", "--curve", "DIR"],
@@ -597,3 +618,11 @@ class TestGradCheckCommand:
     def test_exit_code_ok(self, capsys):
         assert main(["grad-check", "--seed", "0"]) == EXIT_OK
         assert "passed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])
+    def test_tolerance_not_finite_and_positive(self, capsys, monkeypatch, tolerance):
+        """A NaN tolerance could never fail; each is rejected before any work."""
+        monkeypatch.setattr(training, "grad_check", None)
+        rc = main(["grad-check", "--tolerance", tolerance])
+        out = assert_one_line_error(rc, capsys, "--tolerance must be finite and > 0")
+        assert out == ""

@@ -16,7 +16,6 @@ from maskdst.data import (
     ValidationError,
     Vocabulary,
     annotate_ops,
-    apply_state_ops,
     build_vocab,
     derive_state_ops,
     generate_corpus,
@@ -26,7 +25,7 @@ from maskdst.data import (
     tokenize_catalog_entry,
     tokenize_turn,
 )
-from reference_chains import beliefs_equal
+from reference_chains import apply_state_ops, beliefs_equal
 
 
 @pytest.fixture

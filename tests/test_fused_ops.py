@@ -302,8 +302,8 @@ def test_tracker_loss_and_grads_bit_identical_to_chains(case, reference_chains):
     reference_chains()
     reference_tracker = StateTracker(tracker.cfg, vocab, onto)
     for slot in onto.slot_names:
-        assert np.array_equal(tracker.catalog.slot_vecs[slot],
-                              reference_tracker.catalog.slot_vecs[slot])
+        assert np.array_equal(ref.slot_vecs_of(tracker.catalog)[slot],
+                              ref.slot_vecs_of(reference_tracker.catalog)[slot])
         assert np.array_equal(tracker.catalog.value_mats[slot],
                               reference_tracker.catalog.value_mats[slot])
     for d, (loss, report, grads) in zip(corpus, fused):

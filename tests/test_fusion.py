@@ -16,7 +16,7 @@ from maskdst.fusion import (
     word_attention,
 )
 from maskdst.model import ModelConfig, StateTracker
-from reference_chains import FULL_PREFIX, LAST_N, slot_context, tie_branches
+from reference_chains import FULL_PREFIX, LAST_N, contexts_of, slot_context, tie_branches
 
 NEG = ad.NEG_INF
 
@@ -294,7 +294,7 @@ class TestPathEquivalenceAndCausality:
         tracker, corpus = self.build_tracker(n_history=10, tie=True)
         for d in corpus[:3]:
             out = tracker.forward(d, with_ops=False)
-            for slot, (glob, loc, _fused) in out.contexts.items():
+            for slot, (glob, loc, _fused) in contexts_of(out).items():
                 assert np.abs(glob.data - loc.data).max() < 1e-9
 
     def test_fused_context_causal_bitwise(self):
@@ -310,6 +310,6 @@ class TestPathEquivalenceAndCausality:
         out_b = tracker.forward(modified, with_ops=False)
         keep = len(d.turns) - 1
         for slot in tracker.ontology.slot_names:
-            fused_a = out_a.contexts[slot][2].data
-            fused_b = out_b.contexts[slot][2].data
+            fused_a = contexts_of(out_a)[slot][2].data
+            fused_b = contexts_of(out_b)[slot][2].data
             assert np.array_equal(fused_a[:keep], fused_b[:keep])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from maskdst import autodiff as ad
-from maskdst.data import NONE_VALUE, StateOp, apply_state_ops, op_order
+from maskdst.data import NONE_VALUE, StateOp, op_order
 from maskdst.heads import (
     assemble_beliefs,
     distance_logits,
@@ -12,7 +12,7 @@ from maskdst.heads import (
     op_decoder_step,
     replay_ops,
 )
-from reference_chains import slot_value_dist
+from reference_chains import apply_state_ops, slot_value_dist, softmax
 
 
 class TestSlotValueDist:
@@ -89,7 +89,7 @@ class TestOpDecoder:
         params = zeroed_decoder_params(d, k)
         logits = op_decoder_step(params, ad.constant(np.zeros((2, 4, d))))
         assert logits.shape == (2, 4, k)
-        assert np.allclose(ad.softmax(logits).data, 1 / 3, atol=1e-15)
+        assert np.allclose(softmax(logits).data, 1 / 3, atol=1e-15)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_each_row_reads_only_its_own_context(self, seed):

@@ -10,7 +10,7 @@ from maskdst import autodiff as ad
 from maskdst.data import NONE_VALUE, Dialogue, StateOp, Turn, build_vocab, demo_ontology
 from maskdst.heads import DIRECT, OP_GATED, assemble_beliefs, replay_ops
 from maskdst.model import DialogueOutput, ModelConfig, StateTracker
-from reference_chains import decode_state
+from reference_chains import decode_state, softmax
 
 
 def per_turn(ontology, sv_idx, op_idx, four_class, mode):
@@ -57,6 +57,32 @@ def test_predict_equals_per_turn_decode_state(mode, four_class, turns, seed, mon
     monkeypatch.setattr(tracker, "forward", lambda dialogue, with_ops=True: scripted)
     got = tracker.predict(Dialogue("scripted", [Turn("", "", {})] * turns), mode)
     assert items(got) == items(per_turn(onto, sv_idx, op_idx, four_class, mode))
+
+
+@pytest.mark.parametrize("logits, picked, softmax_picks", [
+    ([0.0, 1e-17, -5.0], 1, 0),  # softmax rounds the first two to one probability
+    ([-1.0, 0.5, 0.5], 1, 1),
+    ([0.5, 0.5, 0.5], 0, 0),
+], ids=["near-tie", "tie-of-last-two", "tie-of-all"])
+def test_op_gated_predict_takes_the_argmax_of_the_raw_op_logits(logits, picked, softmax_picks,
+                                                                 monkeypatch):
+    """Every slot and turn gets the op of the largest raw logit, and at an exact tie the
+    first of them in ``op_order``; the op head's logits pass through no softmax, whose
+    argmax differs at a near-tie."""
+    onto = demo_ontology()
+    turns = 3
+    sv_idx = {s: [2] * turns for s in onto.slot_names}  # a value other than none/dontcare
+    tracker = StateTracker(ModelConfig(d=8, heads=2, ff=16), build_vocab([], onto), onto)
+    scripted = DialogueOutput(
+        {s: one_hot(idx, len(onto.values_of(s))) for s, idx in sv_idx.items()},
+        {s: ad.constant([logits] * turns) for s in onto.slot_names}, ())
+    monkeypatch.setattr(tracker, "forward", lambda dialogue, with_ops=True: scripted)
+    got = tracker.predict(Dialogue("scripted", [Turn("", "", {})] * turns), OP_GATED)
+    each_op = [items(per_turn(onto, sv_idx, {s: [k] * turns for s in onto.slot_names},
+                              False, OP_GATED)) for k in range(3)]
+    assert items(got) == each_op[picked]
+    assert len({str(b) for b in each_op}) == 3  # each op gives other beliefs
+    assert softmax(ad.constant(logits)).data.argmax() == softmax_picks
 
 
 def test_a_slot_that_comes_back_follows_the_slots_that_stayed():

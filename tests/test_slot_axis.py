@@ -339,7 +339,7 @@ def test_default_config_batch_equals_per_slot_oracle():
             for slot in onto.slot_names:
                 assert got.sv_logits[slot].data.tobytes() == want.sv_logits[slot].data.tobytes()
                 assert got.op_logits[slot].data.tobytes() == want.op_logits[slot].data.tobytes()
-                for c, w in zip(got.contexts[slot], want.contexts[slot]):
+                for c, w in zip(ref.contexts_of(got)[slot], want.contexts[slot]):
                     assert c.data.tobytes() == w.data.tobytes()
 
 
@@ -371,7 +371,7 @@ def test_slot_contexts_rows_are_the_per_slot_contexts():
     tracker, dialogue = tiny_setup(1)
     out = tracker.forward(dialogue, with_ops=False)
     for j, slot in enumerate(tracker.ontology.slot_names):
-        for stacked, row in zip(out.slot_contexts, out.contexts[slot]):
+        for stacked, row in zip(out.slot_contexts, ref.contexts_of(out)[slot]):
             assert np.array_equal(stacked.data[j], row.data)
 
 

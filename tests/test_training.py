@@ -269,6 +269,22 @@ class TestGradCheck:
         flagged = {name for name, _ in report.failures}
         assert any(name.startswith(prefix) for name in flagged)
 
+    def test_nan_gradient_fails_and_names_its_tensor(self, monkeypatch):
+        """max() keeps the running worst when the error is NaN; a NaN must not pass."""
+        tracker, dialogue = tiny_setup(0)
+        backward = ad.backward
+
+        def poisoned(loss):
+            backward(loss)
+            tracker.params["gate.b"].grad[0] = np.nan
+
+        monkeypatch.setattr(ad, "backward", poisoned)
+        report = grad_check(tracker=tracker, dialogue=dialogue)
+        assert not report.passed
+        assert [name for name, _ in report.failures] == ["gate.b"]
+        assert np.isnan(report.failures[0][1]) and np.isnan(report.max_rel_err["gate.b"])
+        assert all(err < 1e-4 for name, err in report.max_rel_err.items() if name != "gate.b")
+
     def test_frozen_tensors_absent_from_report(self):
         report = grad_check(seed=3)
         assert not any(name.startswith("frozen") for name in report.max_rel_err)
