@@ -131,9 +131,6 @@ def _dialogue_values(out, key, tracker, dialogue):
         ad.backward(loss)
         out[f"{k}/loss"] = np.asarray(loss.data)
         out[f"{k}/report"] = np.asarray([report.l_sv, report.l_sop, report.l_joint])
-        for slot, entry in report.per_slot.items():
-            for name, value in entry.items():
-                out[f"{k}/report/{slot}/{name}"] = np.asarray(value)
         for name, p in tracker.params.items():
             out[f"{k}/grad/{name}"] = np.zeros(0) if p.grad is None else p.grad
     _belief_values(out, key, tracker, [dialogue])
@@ -149,6 +146,14 @@ def _tracker_values(out, key, tracker, dialogues):
         _dialogue_values(out, f"{key}/dialogue{i}", tracker, d)
 
 
+def _op_logits(fwd, slots):
+    """slot -> its op logits [T x K] of a ``forward`` output, whose op head gives one
+    [J x T x K] Tensor, or one Tensor per slot in checkouts older than that."""
+    ops = fwd.op_logits
+    return {s: ops[s].data if isinstance(ops, dict) else ops.data[j]
+            for j, s in enumerate(slots)}
+
+
 def _prefix_values(out, key, tracker, dialogues):
     from maskdst import autodiff as ad
     from maskdst.data import Dialogue
@@ -156,9 +161,10 @@ def _prefix_values(out, key, tracker, dialogues):
         for t in range(1, len(d.turns) + 1):
             with ad.no_grad():
                 fwd = tracker.forward(Dialogue(d.id, d.turns[:t]))
+            ops = _op_logits(fwd, tracker.ontology.slot_names)
             for slot in tracker.ontology.slot_names:
                 out[f"{key}/dialogue{i}/prefix{t}/{slot}/sv"] = fwd.sv_logits[slot].data
-                out[f"{key}/dialogue{i}/prefix{t}/{slot}/op"] = fwd.op_logits[slot].data
+                out[f"{key}/dialogue{i}/prefix{t}/{slot}/op"] = ops[slot]
 
 
 def _checkpoint_dialogues():
@@ -265,18 +271,17 @@ def anchor_values(weight_scale: float = 1.0) -> dict:
             loss, report = tracker.loss(dialogue, sv_only=sv_only)
             ad.backward(loss)
             out[f"{k}/loss"] = np.asarray(loss.data)
-            out[f"{k}/report"] = np.asarray(
-                [report.l_sv, report.l_sop, report.l_joint]
-                + [v for entry in report.per_slot.values() for v in entry.values()])
+            out[f"{k}/report"] = np.asarray([report.l_sv, report.l_sop, report.l_joint])
             grads = [np.zeros(0) if tracker.params[n].grad is None else tracker.params[n].grad
                      for n in names]
             out[f"{k}/grad_norm"] = np.asarray([np.linalg.norm(g) for g in grads])
             out[f"{k}/grad_sum"] = np.asarray([g.sum() for g in grads])
         with ad.no_grad():
             fwd = tracker.forward(dialogue)
+        ops = _op_logits(fwd, tracker.ontology.slot_names)
         for slot in tracker.ontology.slot_names:
             out[f"{key}/logits/{slot}/sv"] = fwd.sv_logits[slot].data
-            out[f"{key}/logits/{slot}/op"] = fwd.op_logits[slot].data
+            out[f"{key}/logits/{slot}/op"] = ops[slot]
         _belief_values(out, key, tracker, [dialogue], with_order=False)
     return out
 

@@ -18,6 +18,7 @@ import threading
 import numpy as np
 
 NEG_INF = float("-inf")
+LAYER_NORM_EPS = 1e-5
 _FLOAT64 = np.dtype(np.float64)
 
 
@@ -293,11 +294,11 @@ def linear(x, w, b) -> Tensor:
     return Tensor(out, _parents=(x, *(w, b) * len(slots)), _backward=bwd)
 
 
-def layer_norm(x, gain, bias, eps=1e-5) -> Tensor:
+def layer_norm(x, gain, bias) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale-shift.
 
     Replaces the chain mu = mean(x); xc = x - mu; var = mean(xc * xc);
-    inv = 1 / sqrt(var + eps); out = xc * inv * gain + bias.
+    inv = 1 / sqrt(var + LAYER_NORM_EPS); out = xc * inv * gain + bias.
     """
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     inv_n = 1.0 / x.shape[-1]
@@ -306,7 +307,7 @@ def layer_norm(x, gain, bias, eps=1e-5) -> Tensor:
     xc = x.data - mu
     sq = xc * xc
     var = np.add.reduce(sq, axis=-1, keepdims=True) * inv_n
-    sd = np.sqrt(var + eps)
+    sd = np.sqrt(var + LAYER_NORM_EPS)
     inv = 1.0 / sd
     normed = xc * inv
     scaled = normed * gain.data
@@ -438,15 +439,20 @@ def gate_mix(a, b, w, bias):
 
 
 def softmax_nll(logits, gold) -> Tensor:
-    """Sum over rows of ``-log softmax(logits)[row, gold[row]]``; logits [T x V].
+    """Sum over rows of ``-log softmax(logits)[row, gold[row]]``; logits [(J x) T x V],
+    gold [(J x) T].
 
-    Replaces the chain softmax, getitem at (rows, gold), log, sum, negate.
+    Replaces the chain softmax, getitem at (rows, gold), log, sum, negate; with a
+    slot axis, that chain once per slot, the slots' sums added in slot order.
     """
     logits = as_tensor(logits)
+    gold = np.asarray(gold, dtype=np.int64)
+    if gold.shape != logits.shape[:-1]:
+        raise ShapeError(f"softmax_nll gold {gold.shape} does not index logits {logits.shape}")
     probs = _softmax_rows(logits.data)
-    idx = (np.arange(logits.shape[0]), np.asarray(gold, dtype=np.int64))
+    idx = (*np.indices(gold.shape, sparse=True), gold)
     picked = probs[idx]
-    out = np.log(picked).sum() * -1.0
+    out = np.add.accumulate((np.log(picked).sum(axis=-1) * -1.0).reshape(-1))[-1]
 
     def bwd(g):
         g_log = np.broadcast_to(g * -1.0, picked.shape).copy()

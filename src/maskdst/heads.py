@@ -1,13 +1,15 @@
 """Prediction heads: distance-softmax slot-value classification and the
 state-operation classifier (a linear readout of each slot's local context per
-turn), plus the joint loss and belief decoding: OP_GATED replays each slot's
-predicted ops over its predicted values, then both modes assemble the beliefs
-of all turns from each slot's value per turn in one pass.
+turn, all slots' logits one [J x T x K] tensor that one NLL node scores and one
+argmax decodes), plus the joint loss and belief decoding: OP_GATED replays each
+slot's predicted ops over its predicted values, then both modes assemble the
+beliefs of all turns from each slot's value per turn in one pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,37 +58,20 @@ class LossReport:
     l_sv: float
     l_sop: float
     l_joint: float
-    per_slot: dict = field(default_factory=dict)  # slot -> {"l_sv", "l_sop"}
 
 
 def nll_from_logits(logits: Tensor, gold: np.ndarray) -> Tensor:
-    """Sum of -log softmax(logits)[gold] over rows; logits [T x V]."""
+    """Sum of -log softmax(logits)[gold] over rows; logits [(J x) T x V], gold [(J x) T]."""
     return ad.softmax_nll(logits, gold)
 
 
-def joint_loss(sv_terms: dict, sop_terms: dict) -> tuple:
-    """Combine per-slot loss tensors into L_joint = L_sv + L_sop.
-
-    sv_terms maps slot -> scalar Tensor; sop_terms likewise (may be empty
-    in value-only ablation mode). Returns (loss Tensor, LossReport).
-    """
-    if sop_terms and set(sop_terms) != set(sv_terms):
-        raise ValueError("slot-value and operation losses cover different slots")
-    total = None
-    per_slot = {}
-    l_sv = 0.0
-    l_sop = 0.0
-    for slot, term in sv_terms.items():
-        total = term if total is None else total + term
-        entry = {"l_sv": term.item(), "l_sop": 0.0}
-        if slot in sop_terms:
-            total = total + sop_terms[slot]
-            entry["l_sop"] = sop_terms[slot].item()
-        l_sv += entry["l_sv"]
-        l_sop += entry["l_sop"]
-        per_slot[slot] = entry
-    report = LossReport(l_sv=l_sv, l_sop=l_sop, l_joint=l_sv + l_sop, per_slot=per_slot)
-    return total, report
+def joint_loss(sv_terms: list, sop: Tensor | None) -> tuple:
+    """L_joint = L_sv + L_sop: the slots' value loss Tensors added in slot order, then the
+    op loss Tensor of all slots (None in value-only ablation mode). Returns (loss
+    Tensor, LossReport)."""
+    total = functools.reduce(ad.add, sv_terms)
+    l_sv, l_sop = total.item(), 0.0 if sop is None else sop.item()
+    return (total if sop is None else total + sop), LossReport(l_sv, l_sop, l_sv + l_sop)
 
 
 # -- inference-time belief decoding ----------------------------------------

@@ -85,7 +85,7 @@ GLOB, LOC = "glob", "loc"
 @dataclass
 class DialogueOutput:
     sv_logits: dict      # slot -> Tensor [T x |v_s|], slots in ontology order
-    op_logits: dict      # slot -> Tensor [T x K]; empty when ops are not run
+    op_logits: ad.Tensor | None  # [J x T x K], slots in ontology order; None without ops
     slot_contexts: tuple  # (glob, loc, fused), each a Tensor [J x T x d]
 
 
@@ -181,16 +181,13 @@ class StateTracker:
         # each slot has its own candidate values; the op head reads all slots and turns at once
         sv_logits = {s: distance_logits(fused[j], self.catalog.value_mats[s])
                      for j, s in enumerate(slots)}
-        op_logits = {}
-        if with_ops:
-            ops = op_decoder_step(self.params, ctx[LOC])
-            op_logits = {s: ops[j] for j, s in enumerate(slots)}
+        op_logits = op_decoder_step(self.params, ctx[LOC]) if with_ops else None
         return DialogueOutput(sv_logits, op_logits, (ctx[GLOB], ctx[LOC], fused))
 
     # -- loss ------------------------------------------------------------
 
     def gold_indices(self, dialogue: Dialogue):
-        """Per slot, the gold value index and the gold op index of every turn."""
+        """Per slot, the gold value index of every turn; and the gold op indices [J x T]."""
         order = op_order(self.cfg.four_class)
         gold_v, gold_o = defaultdict(list), defaultdict(list)
         prev = {}
@@ -200,19 +197,19 @@ class StateTracker:
                 gold_v[slot].append(values.index(belief_value(turn.belief, slot)))
                 gold_o[slot].append(order.index(ops[slot]))
             prev = turn.belief
-        return gold_v, gold_o
+        return gold_v, np.array(list(gold_o.values()), dtype=np.int64)
 
     def loss(self, dialogue: Dialogue, sv_only: bool = False):
         """Joint loss over all slots and turns of one dialogue.
 
-        Both heads are scored by nll_from_logits. Returns (loss Tensor,
-        LossReport). With sv_only the operation branch is not evaluated.
+        Both heads are scored by nll_from_logits: the value head once per slot, the
+        op head once over all slots. Returns (loss Tensor, LossReport). With sv_only
+        the operation branch is not evaluated.
         """
         out = self.forward(dialogue, with_ops=not sv_only)
         gold_v, gold_o = self.gold_indices(dialogue)
-        sv_terms = {s: nll_from_logits(out.sv_logits[s], gold_v[s]) for s in out.sv_logits}
-        sop_terms = {s: nll_from_logits(out.op_logits[s], gold_o[s]) for s in out.op_logits}
-        return joint_loss(sv_terms, sop_terms)
+        sv_terms = [nll_from_logits(out.sv_logits[s], gold_v[s]) for s in out.sv_logits]
+        return joint_loss(sv_terms, None if sv_only else nll_from_logits(out.op_logits, gold_o))
 
     # -- inference -------------------------------------------------------
 
@@ -229,7 +226,7 @@ class StateTracker:
             values[s] = [candidates[i] for i in logits.data.argmax(axis=-1).tolist()]
         if mode != DIRECT:
             order = op_order(self.cfg.four_class)
-            ops = {s: [order[i] for i in logits.data.argmax(axis=-1).tolist()]
-                   for s, logits in out.op_logits.items()}
+            ops = {s: [order[i] for i in row]
+                   for s, row in zip(values, out.op_logits.data.argmax(axis=-1).tolist())}
             values = replay_ops(values, ops)
         return assemble_beliefs(values)

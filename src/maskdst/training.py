@@ -31,8 +31,9 @@ from .model import ConfigError, ModelConfig, StateTracker, check_config
 
 JOINT_MODE = "JOINT"
 SV_ONLY_MODE = "SV_ONLY"
-# Global gradient-norm bound that train() gives Adam.
+# Global gradient-norm bound that train() gives Adam; Adam's decay rates and epsilon.
 CLIP_NORM = 1.0
+ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class NumericalError(RuntimeError):
@@ -51,6 +52,8 @@ class TrainConfig:
         check_config(self, {"epochs": 1, "batch_size": 1})
         if not self.lr > 0:
             raise ConfigError(f"learning rate must be positive, got {self.lr}")
+        if self.lr == math.inf:
+            raise ConfigError(f"learning rate must be positive and finite, got {self.lr}")
         if self.loss_mode not in (JOINT_MODE, SV_ONLY_MODE):
             raise ConfigError(f"unknown loss mode {self.loss_mode!r}")
 
@@ -58,11 +61,9 @@ class TrainConfig:
 # -- optimizer -----------------------------------------------------------
 
 class Adam:
-    def __init__(self, params: dict, lr, betas=(0.9, 0.999), eps=1e-8, clip_norm=None):
+    def __init__(self, params: dict, lr, clip_norm=None):
         self.params = params
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.clip_norm = clip_norm
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -79,15 +80,15 @@ class Adam:
                 for p in live.values():
                     p.grad = p.grad * scale
         self.t += 1
-        bc1 = 1.0 - self.b1 ** self.t
-        bc2 = 1.0 - self.b2 ** self.t
+        bc1 = 1.0 - ADAM_B1 ** self.t
+        bc2 = 1.0 - ADAM_B2 ** self.t
         for k, p in live.items():
             g = p.grad
-            self.m[k] = self.b1 * self.m[k] + (1.0 - self.b1) * g
-            self.v[k] = self.b2 * self.v[k] + (1.0 - self.b2) * g * g
+            self.m[k] = ADAM_B1 * self.m[k] + (1.0 - ADAM_B1) * g
+            self.v[k] = ADAM_B2 * self.v[k] + (1.0 - ADAM_B2) * g * g
             m_hat = self.m[k] / bc1
             v_hat = self.v[k] / bc2
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # -- metrics -------------------------------------------------------------

@@ -16,7 +16,11 @@
   test can substitute the chains for the fused ops and require
   bit-identical values and gradients. On inputs with a leading slot axis [J x ...], the attention,
   layer norm, linear and gate chains stack each weight once per slot
-  (``per_slot``), so that every slot's term reaches the weight on its own.
+  (``per_slot``), so that every slot's term reaches the weight on its own,
+  and the NLL chain runs once per slot and adds the slots' sums in slot order.
+- ``joint_loss_of_slot_terms``: the joint loss of one op loss Tensor per
+  slot, added as ((sv0 + sv1) + sv2) + ((sop0 + sop1) + sop2), as the
+  program adds its single op term.
 - Single-turn oracles: ``slot_context`` (one turn of
   ``fusion.slot_context_all``) and ``slot_value_dist`` (one query of
   ``heads.distance_logits`` through a softmax).
@@ -29,8 +33,9 @@
   they differ only in their masks.
 - The per-slot tracker: ``PerSlotTracker`` runs the hierarchical transform,
   the slot-over-turns attention, the gate and the op head once per slot on
-  [T x d] rows, and decodes its beliefs with one ``decode_state`` call per
-  turn, as ``StateTracker`` did before those stages took a slot axis and
+  [T x d] rows, scores the op head with one NLL node per slot, and decodes
+  its beliefs with one ``decode_state`` call per turn, as ``StateTracker``
+  did before those stages took a slot axis, its op head kept one tensor and
   ``predict`` decoded in one pass.
 - The per-entry catalog encoder: ``encode_catalog_per_entry`` runs one
   ``encode_turn`` pass per slot name and per candidate value, as
@@ -50,6 +55,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -280,13 +286,13 @@ def attention(query, keys, wq, wk, wv, wo, heads: int, mask=None) -> Tensor:
                                 heads, mask)
 
 
-def layer_norm(x, gain, bias, eps=1e-5) -> Tensor:
+def layer_norm(x, gain, bias) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale-shift."""
     x, gain, bias = ad.as_tensor(x), ad.as_tensor(gain), ad.as_tensor(bias)
     mu = tmean(x, axis=-1, keepdims=True)
     xc = sub(x, mu)
     var = tmean(xc * xc, axis=-1, keepdims=True)
-    inv = div(1.0, sqrt(var + eps))
+    inv = div(1.0, sqrt(var + ad.LAYER_NORM_EPS))
     return xc * inv * per_slot(gain, x) + per_slot(bias, x)
 
 
@@ -303,6 +309,12 @@ def gate_mix(a, b, w, bias):
 
 
 def softmax_nll(logits, gold) -> Tensor:
+    """With a slot axis, logits [J x T x V] and gold [J x T], the chain once per slot,
+    the slots' sums added in slot order."""
+    gold = np.asarray(gold, dtype=np.int64)
+    if gold.ndim == 2:
+        return sum_in_order([softmax_nll(ad.getitem(logits, j), gold[j])
+                             for j in range(len(gold))])
     probs = softmax(logits)
     rows = np.arange(probs.shape[0])
     picked = probs[(rows, np.asarray(gold, dtype=np.int64))]
@@ -423,6 +435,19 @@ def decode_state(sv_argmax: dict, op_argmax: dict, values_of, prev_belief: dict,
 
 # -- the per-turn operation head --------------------------------------------
 
+def sum_in_order(terms: list) -> Tensor:
+    """((t0 + t1) + t2) + ...: one add node per term after the first."""
+    return functools.reduce(ad.add, terms)
+
+
+def joint_loss_of_slot_terms(sv_terms: dict, sop_terms: dict):
+    """``heads.joint_loss`` of per-slot value and op loss Tensors (slot -> scalar; no op
+    terms in value-only mode): ((sv0 + sv1) + sv2) + ((sop0 + sop1) + sop2), node for
+    node, as the program adds its single op term, whose value sums the slots in order."""
+    return joint_loss(list(sv_terms.values()),
+                      sum_in_order(list(sop_terms.values())) if sop_terms else None)
+
+
 def op_logits(params, c_loc: Tensor) -> Tensor:
     """One slot's op logits [T x K] from its local contexts c_loc [T x d]: matmul, then add."""
     return matmul(c_loc, params["op.out.w"]) + params["op.out.b"]
@@ -496,7 +521,7 @@ class PerTurnOpTracker(StateTracker):
                     for t in range(len(dialogue.turns))
                 ])
                 sop_terms[slot] = ad.mul(tsum(log(picked)), -1.0)
-        return joint_loss(sv_terms, sop_terms)
+        return joint_loss_of_slot_terms(sv_terms, sop_terms)
 
     def predict(self, dialogue: Dialogue, mode: str = DIRECT):
         with_ops = mode != DIRECT
@@ -568,6 +593,16 @@ class PerSlotTracker(StateTracker):
                 ops[slot] = op_logits(self.params, ctx[LOC])
             contexts[slot] = (ctx[GLOB], ctx[LOC], fused)
         return PerSlotOutput(sv_logits=sv_logits, op_logits=ops, contexts=contexts)
+
+    def loss(self, dialogue: Dialogue, sv_only: bool = False):
+        """The loss of ``StateTracker.loss`` before its op head kept one tensor: one NLL
+        node per slot for each head."""
+        out = self.forward(dialogue, with_ops=not sv_only)
+        gold_v, gold_o = self.gold_indices(dialogue)
+        sv_terms = {s: nll_from_logits(out.sv_logits[s], gold_v[s]) for s in out.sv_logits}
+        sop_terms = {s: nll_from_logits(logits, gold_o[j])
+                     for j, (s, logits) in enumerate(out.op_logits.items())}
+        return joint_loss_of_slot_terms(sv_terms, sop_terms)
 
     def predict(self, dialogue: Dialogue, mode: str = DIRECT):
         with ad.no_grad():

@@ -344,6 +344,10 @@ FUSED_OPS = {
         lambda rng: (rng.normal(size=(3, 5)),),
         lambda logits: ad.softmax_nll(logits, [0, 4, 2]),
     ),
+    "softmax_nll_slots": (  # a leading slot axis: logits [J x T x V], gold [J x T]
+        lambda rng: (rng.normal(size=(2, 3, 5)),),
+        lambda logits: ad.softmax_nll(logits, [[0, 4, 2], [3, 3, 1]]),
+    ),
     "neg_distance": (
         lambda rng: (rng.normal(size=(3, 4)),),
         lambda queries: ad.neg_distance(queries, POINTS),

@@ -239,9 +239,11 @@ class TestRejectedInput:
         ({"clip_norm": "1"}, "unknown keys: clip_norm"),
         ({"loss_mode": 1}, "loss_mode must be str, got 1"),
         ({"tie_paths": False}, "unknown keys: tie_paths"),
+        # json.dumps writes Infinity, which json.load reads back as inf
+        ({"lr": float("inf")}, "learning rate must be positive and finite, got inf"),
     ], ids=["list", "unknown-key", "key-train-ignores", "batch-size-0", "max-turn-tokens-2",
             "d-string", "d-float", "heads-bool", "four-class-int", "epochs-float", "lr-string",
-            "clip-norm-string", "loss-mode-int", "tie-paths"])
+            "clip-norm-string", "loss-mode-int", "tie-paths", "lr-infinity"])
     def test_bad_config_file(self, tmp_path, corpus_file, capsys, config, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -265,8 +267,9 @@ class TestRejectedInput:
         (["--hier-layers", "-1"], "hier_layers must be >= 0, got -1"),
         (["--seed", "-1"], "seed must be >= 0, got -1"),
         (["--lr", "nan"], "learning rate must be positive, got nan"),
+        (["--lr", "inf"], "learning rate must be positive and finite, got inf"),
     ], ids=["d-0", "heads-0", "ff-0", "n-history-0", "encoder-layers-negative", "encoder-layers-0",
-            "hier-layers-negative", "seed-negative", "lr-nan"])
+            "hier-layers-negative", "seed-negative", "lr-nan", "lr-inf"])
     def test_bad_size_flag(self, tmp_path, corpus_file, capsys, flags, message):
         ck = tmp_path / "m.ckpt"
         rc = main(["train", "--corpus", corpus_file, "--out", str(ck), "--epochs", "1",

@@ -189,16 +189,22 @@ def test_gate_mix_matches_chain(rows, mixed, seed):
 
 
 @pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("rows", ROWS)
+@pytest.mark.parametrize("rows", ROWS + [(3, 4)],
+                         ids=lambda r: "x".join(map(str, np.atleast_1d(r))))
 def test_softmax_nll_matches_chain(rows, seed):
+    """[T x V] logits, and [J x T x V] ones with gold [J x T] (rows (3, 4)), whose chain
+    is the [T x V] chain once per slot, the slots' sums added in slot order."""
     rng = np.random.default_rng(seed)
     gold = rng.integers(0, 5, size=rows)
+    logits = rng.normal(size=(*gold.shape, 5)) * 3.0
 
     def nll(op):
-        return lambda logits: op(logits, gold)
+        return lambda x: op(x, gold)
 
-    assert_bit_identical(nll(ad.softmax_nll), nll(ref.softmax_nll),
-                         [rng.normal(size=(rows, 5)) * 3.0], rng)
+    assert_bit_identical(nll(ad.softmax_nll), nll(ref.softmax_nll), [logits], rng)
+    value, (grad,) = value_and_grads(nll(ad.softmax_nll), [logits], 1.0, [True])
+    want, (want_grad,) = value_and_grads(nll(ref.softmax_nll), [logits], 1.0, [True])
+    assert (value.tobytes(), grad.tobytes()) == (want.tobytes(), want_grad.tobytes())
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -254,6 +260,10 @@ def test_fused_ops_keep_the_chain_checks():
         ad.gate_mix(x, x, ad.constant(np.zeros((D, D))), np.zeros(D))
     with pytest.raises(IndexError):
         ad.softmax_nll(x, [0, 1, D])
+    with pytest.raises(ad.ShapeError):
+        ad.softmax_nll(x, [0, 1])  # a gold row short; the chain fails to broadcast its index
+    with pytest.raises(ad.ShapeError):
+        ad.softmax_nll(ad.constant(np.zeros((2, 3, D))), [0, 1, 2])
 
 
 # -- the whole tracker --------------------------------------------------------

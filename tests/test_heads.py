@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -139,12 +141,15 @@ class TestOpDecoder:
 
 class TestJointLoss:
     def test_sum_definition(self):
-        total, report = joint_loss(
-            {"a": ad.constant(2.0)}, {"a": ad.constant(0.5)}
-        )
+        total, report = joint_loss([ad.constant(2.0), ad.constant(0.25)], ad.constant(0.5))
         assert report.l_joint == report.l_sv + report.l_sop
-        assert report.l_joint == pytest.approx(2.5)
-        assert total.item() == pytest.approx(2.5)
+        assert (report.l_sv, report.l_sop, report.l_joint) == (2.25, 0.5, 2.75)
+        assert total.item() == 2.75
+        assert [f.name for f in dataclasses.fields(report)] == ["l_sv", "l_sop", "l_joint"]
+
+    def test_value_only_has_no_op_term(self):
+        total, report = joint_loss([ad.constant(2.0), ad.constant(0.25)], None)
+        assert (total.item(), report.l_sv, report.l_sop, report.l_joint) == (2.25, 2.25, 0.0, 2.25)
 
     def test_perfect_predictions_zero_loss(self):
         logits = ad.constant(np.array([[0.0, -1000.0]]))
@@ -155,10 +160,6 @@ class TestJointLoss:
         logits = ad.constant(np.zeros((1, 3)))
         loss = nll_from_logits(logits, np.array([1]))
         assert loss.item() == pytest.approx(np.log(3.0), abs=1e-12)
-
-    def test_index_set_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="different slots"):
-            joint_loss({"a": ad.constant(1.0)}, {"b": ad.constant(1.0)})
 
 
 class TestBeliefDecoding:

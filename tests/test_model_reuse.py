@@ -57,10 +57,11 @@ def untaped(tracker, dialogue, with_ops=True):
 
 
 def assert_outputs_equal(out, ref):
-    for heads, ref_heads in ((out.sv_logits, ref.sv_logits), (out.op_logits, ref.op_logits)):
-        assert heads.keys() == ref_heads.keys()
-        for slot, logits in heads.items():
-            assert logits.data.tobytes() == ref_heads[slot].data.tobytes(), slot
+    assert out.sv_logits.keys() == ref.sv_logits.keys()
+    for slot, logits in out.sv_logits.items():
+        assert logits.data.tobytes() == ref.sv_logits[slot].data.tobytes(), slot
+    assert (out.op_logits is None) == (ref.op_logits is None)
+    assert out.op_logits is None or out.op_logits.data.tobytes() == ref.op_logits.data.tobytes()
 
 
 def distinct_turns(dialogue):

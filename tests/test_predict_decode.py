@@ -52,7 +52,7 @@ def test_predict_equals_per_turn_decode_state(mode, four_class, turns, seed, mon
                            build_vocab([], onto), onto)
     scripted = DialogueOutput(
         {s: one_hot(idx, len(onto.values_of(s))) for s, idx in sv_idx.items()},
-        {s: one_hot(idx, num_ops) for s, idx in op_idx.items()} if mode == OP_GATED else {},
+        one_hot(list(op_idx.values()), num_ops) if mode == OP_GATED else None,
         ())
     monkeypatch.setattr(tracker, "forward", lambda dialogue, with_ops=True: scripted)
     got = tracker.predict(Dialogue("scripted", [Turn("", "", {})] * turns), mode)
@@ -75,7 +75,7 @@ def test_op_gated_predict_takes_the_argmax_of_the_raw_op_logits(logits, picked, 
     tracker = StateTracker(ModelConfig(d=8, heads=2, ff=16), build_vocab([], onto), onto)
     scripted = DialogueOutput(
         {s: one_hot(idx, len(onto.values_of(s))) for s, idx in sv_idx.items()},
-        {s: ad.constant([logits] * turns) for s in onto.slot_names}, ())
+        ad.constant([[logits] * turns] * len(onto.slot_names)), ())
     monkeypatch.setattr(tracker, "forward", lambda dialogue, with_ops=True: scripted)
     got = tracker.predict(Dialogue("scripted", [Turn("", "", {})] * turns), OP_GATED)
     each_op = [items(per_turn(onto, sv_idx, {s: [k] * turns for s in onto.slot_names},

@@ -15,7 +15,8 @@ import pytest
 import reference_chains as ref
 from maskdst import autodiff as ad
 from maskdst import fusion
-from maskdst.data import Dialogue, GenShape, Turn, build_vocab, demo_ontology, generate_corpus
+from maskdst.data import (Dialogue, GenShape, Ontology, Turn, build_vocab, demo_ontology,
+                          generate_corpus)
 from maskdst.encoders import init_block, init_mha
 from maskdst.model import GLOB, LOC, ModelConfig, StateTracker
 from maskdst.training import tiny_setup
@@ -336,9 +337,9 @@ def test_default_config_batch_equals_per_slot_oracle():
     with ad.no_grad():
         for d in corpus:
             got, want = tracker.forward(d), oracle.forward(d)
-            for slot in onto.slot_names:
+            for j, slot in enumerate(onto.slot_names):
                 assert got.sv_logits[slot].data.tobytes() == want.sv_logits[slot].data.tobytes()
-                assert got.op_logits[slot].data.tobytes() == want.op_logits[slot].data.tobytes()
+                assert got.op_logits.data[j].tobytes() == want.op_logits[slot].data.tobytes()
                 for c, w in zip(ref.contexts_of(got)[slot], want.contexts[slot]):
                     assert c.data.tobytes() == w.data.tobytes()
 
@@ -352,6 +353,36 @@ def test_default_six_turn_loss_builds_at_most_315_nodes(monkeypatch):
     tracker = StateTracker(ModelConfig(), build_vocab(corpus, onto), onto)
     assert len(onto.slot_names) == 3
     assert count_nodes(monkeypatch, lambda: tracker.loss(corpus[0])) <= 315
+
+
+def test_default_six_turn_loss_builds_at_most_121_nodes(monkeypatch):
+    """128 nodes while the op head's logits were split into one [T x K] view and one NLL
+    node per slot."""
+    onto = demo_ontology()
+    corpus = generate_corpus(onto, 1, seed=3, shape=GenShape(min_turns=6, max_turns=6))
+    tracker = StateTracker(ModelConfig(), build_vocab(corpus, onto), onto)
+    assert len(onto.slot_names) == 3
+    assert count_nodes(monkeypatch, lambda: tracker.loss(corpus[0])) <= 121
+
+
+@pytest.mark.parametrize("slots", [2, 3, 5])
+def test_loss_scores_the_op_head_with_one_nll_node(slots, monkeypatch):
+    """The value head's J [T x V] logits take one NLL node each, the op head's
+    [J x T x K] logits one in all, whatever J is."""
+    onto = Ontology({f"slot{j}": ["none", "dontcare", "a", "b"] for j in range(slots)})
+    corpus = generate_corpus(onto, 1, seed=3, shape=GenShape(min_turns=4, max_turns=4))
+    tracker = StateTracker(ModelConfig(d=D, heads=2, ff=16), build_vocab(corpus, onto), onto)
+    shapes = []
+    honest = ad.softmax_nll
+
+    def recording(logits, gold):
+        shapes.append(logits.shape)
+        return honest(logits, gold)
+
+    monkeypatch.setattr(ad, "softmax_nll", recording)
+    tracker.loss(corpus[0])
+    assert shapes[-1] == (slots, 4, 3)
+    assert [len(s) for s in shapes] == [2] * slots + [3]
 
 
 def test_depth_32_live_update_makes_at_most_65_tensors(monkeypatch):
