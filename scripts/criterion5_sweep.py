@@ -1,6 +1,6 @@
 """Run acceptance criterion 5 under each floating-point setting this host can give it.
 
-    python scripts/criterion5_sweep.py [--src <checkout>/src]
+    python scripts/criterion5_sweep.py [--src <checkout>/src] [--seeds 0,1,2]
 
 Criterion 5 (``tests/test_acceptance.py::test_criterion_5_learning_on_synthetic_corpus``)
 trains the default tracker for 40 epochs on a 200-dialogue corpus and requires
@@ -18,6 +18,10 @@ run in a fresh Python process, under:
   ``training.Adam.step`` is multiplied elementwise by ``1 + 1e-15 * u``, with
   ``u`` uniform in [-1, 1] from a seeded generator, as a kernel that rounds
   differently would perturb it.
+
+With ``--seeds``, it makes instead one run per listed seed ``s``, under the
+host's own kernels, with ``ModelConfig(seed=s)`` and ``TrainConfig(seed=s)``
+in place of the test's seed 0; the corpora stay the test's.
 
 Per run it prints train and held-out joint accuracy, the loss rises after
 epoch 5, the training time, and the held-out joint accuracy after each epoch.
@@ -47,8 +51,9 @@ PERTURB_SCALE = 1e-15
 MAX_EPOCHS, MAX_TRAIN_S, MIN_TRAIN, MIN_HELD, MAX_RISES = 50, 900.0, 0.99, 0.90, 2
 
 
-def run_criterion5(src: Path, perturb_seed):
-    """Criterion 5's calls in this process; returns its numbers as a dict."""
+def run_criterion5(src: Path, perturb_seed, seed):
+    """Criterion 5's calls in this process, with model and training seed `seed`;
+    returns its numbers as a dict."""
     sys.path.insert(0, str(src))
     import numpy as np
 
@@ -62,7 +67,7 @@ def run_criterion5(src: Path, perturb_seed):
     onto = demo_ontology()
     corpus = generate_corpus(onto, 200, 1)
     held = generate_corpus(onto, 50, 999)
-    model_cfg, train_cfg = ModelConfig(seed=0), TrainConfig(seed=0)
+    model_cfg, train_cfg = ModelConfig(seed=seed), TrainConfig(seed=seed)
 
     trackers = []
 
@@ -105,15 +110,25 @@ def run_criterion5(src: Path, perturb_seed):
     }
 
 
-def settings():
-    """(name, extra environment, perturbation seed) of every run this host can make."""
+def settings(seeds=None):
+    """(name, extra environment, perturbation seed, model and training seed) of every
+    run to make: one per seed in `seeds`, or else every setting this host can give."""
+    if seeds is not None:
+        return [(f"seed {s}", {}, None, s) for s in seeds]
     from numpy._core._multiarray_umath import __cpu_features__ as features
-    runs = [("default", {}, None)]
-    runs += [(f"OPENBLAS_CORETYPE={core}", {"OPENBLAS_CORETYPE": core}, None)
+    runs = [("default", {}, None, 0)]
+    runs += [(f"OPENBLAS_CORETYPE={core}", {"OPENBLAS_CORETYPE": core}, None, 0)
              for core, needs in CORETYPES.items() if features.get(needs)]
-    runs.append(("baseline SIMD", {"NPY_DISABLE_CPU_FEATURES": BASELINE_SIMD}, None))
-    runs += [(f"perturb seed {s}", {}, s) for s in PERTURB_SEEDS]
+    runs.append(("baseline SIMD", {"NPY_DISABLE_CPU_FEATURES": BASELINE_SIMD}, None, 0))
+    runs += [(f"perturb seed {s}", {}, s, 0) for s in PERTURB_SEEDS]
     return runs
+
+
+def seed_list(text):
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not comma-separated integers: {text!r}")
 
 
 def passes(result) -> bool:
@@ -126,21 +141,24 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=DEFAULT_SRC,
                         help="the src directory of the checkout to run (default: this one's)")
+    parser.add_argument("--seeds", type=seed_list,
+                        help="comma-separated model and training seeds, one default-kernel "
+                             "run each, in place of the floating-point settings")
     parser.add_argument("--run", help=argparse.SUPPRESS)  # one run, in a child process
     args = parser.parse_args(argv)
     src = args.src.resolve()
     if args.run is not None:
-        perturb_seed = json.loads(args.run)
-        print(json.dumps(run_criterion5(src, perturb_seed)))
+        print(json.dumps(run_criterion5(src, *json.loads(args.run))))
         return 0
 
     print(f"criterion 5 sweep of {src}")
     print("| run | train | held-out | rises | train s | result |")
     print("|---|---|---|---|---|---|")
-    runs, failed, per_epoch = settings(), 0, []
-    for name, extra_env, perturb_seed in runs:
+    runs, failed, per_epoch = settings(args.seeds), 0, []
+    for name, extra_env, perturb_seed, seed in runs:
         proc = subprocess.run(
-            [sys.executable, __file__, "--src", str(src), "--run", json.dumps(perturb_seed)],
+            [sys.executable, __file__, "--src", str(src), "--run",
+             json.dumps([perturb_seed, seed])],
             env={**os.environ, **extra_env}, capture_output=True, text=True)
         if proc.returncode != 0:
             failed += 1

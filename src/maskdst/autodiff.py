@@ -262,19 +262,13 @@ def _as_mask(mask) -> np.ndarray:
 # the inputs, and sums the terms of inputs shared with other nodes, in the
 # chain's order too (``tests/test_fused_ops.py`` checks both, op by op and
 # in the whole tracker). On inputs with a leading slot axis [J x ...], a node
-# equals J 2-D nodes, one per slot: it lists each shared weight once per slot,
-# so ``backward`` adds the slots' terms one at a time in slot order, as
-# ((prev + g0) + g1), never as (prev + (g0 + g1)).
+# equals J 2-D nodes, one per slot: it lists each shared weight once and
+# returns its term stacked over the slots, which ``backward`` adds one slot at
+# a time in slot order, as ((prev + g0) + g1), never as (prev + (g0 + g1)).
 
-def _slots(x: np.ndarray) -> list:
-    """One index per slot of `x`'s leading slot axis, or [...] (all of x) without one."""
-    return list(range(x.shape[0])) if x.ndim == 3 else [...]
-
-
-def _weight_terms(slots, *terms):
-    """Each (gradient, weight shape) pair's term of each of `slots` in turn, unbroadcast."""
-    return tuple(g if g is None else _unbroadcast(g[j], shape)
-                 for j in slots for g, shape in terms)
+def _row_sum(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """A gain's or bias's term: [J x T x n] -> [J x n], one per slot, else unbroadcast."""
+    return g.sum(axis=-2) if g.ndim == 3 else _unbroadcast(g, shape)
 
 
 def linear(x, w, b) -> Tensor:
@@ -283,15 +277,14 @@ def linear(x, w, b) -> Tensor:
     _check_matmul(x.data, w.data)
     prod = x.data @ w.data
     out = prod + b.data
-    slots = _slots(x.data)
 
     def bwd(g):
         g_prod = _unbroadcast(g, prod.shape)
         gx = _unbroadcast(g_prod @ w.data.swapaxes(-1, -2), x.shape) if x.requires_grad else None
         gw = x.data.swapaxes(-1, -2) @ g_prod if w.requires_grad else None
-        return (gx, *_weight_terms(slots, (gw, w.shape), (g, b.shape)))
+        return gx, gw, _row_sum(g, b.shape)
 
-    return Tensor(out, _parents=(x, *(w, b) * len(slots)), _backward=bwd)
+    return Tensor(out, _parents=(x, w, b), _backward=bwd)
 
 
 def layer_norm(x, gain, bias) -> Tensor:
@@ -312,7 +305,6 @@ def layer_norm(x, gain, bias) -> Tensor:
     normed = xc * inv
     scaled = normed * gain.data
     out = scaled + bias.data
-    slots = _slots(x.data)
 
     def bwd(g):
         g_scaled = _unbroadcast(g, scaled.shape)
@@ -331,9 +323,9 @@ def layer_norm(x, gain, bias) -> Tensor:
         g_x_direct = _unbroadcast(g_xc, x.shape)
         g_x_via_mean = np.broadcast_to(g_sum_x, x.shape).copy()
         return (g_x_direct, g_x_via_mean,
-                *_weight_terms(slots, (g_scaled * normed, gain.shape), (g, bias.shape)))
+                _row_sum(g_scaled * normed, gain.shape), _row_sum(g, bias.shape))
 
-    return Tensor(out, _parents=(x, x, *(gain, bias) * len(slots)), _backward=bwd)
+    return Tensor(out, _parents=(x, x, gain, bias), _backward=bwd)
 
 
 def attention(query, keys, wq, wk, wv, wo, heads: int, mask=None) -> Tensor:
@@ -359,7 +351,6 @@ def attention(query, keys, wq, wk, wv, wo, heads: int, mask=None) -> Tensor:
         raise ShapeError(f"model dim {d} not divisible by {heads} heads")
     dh = d // heads
     scale = dh ** -0.5
-    slots = _slots(qd)
     q = (qd @ wq.data).reshape((*lead, lq, heads, dh)).swapaxes(-2, -3)
     k = (kd @ wk.data).reshape((*lead, lk, heads, dh)).swapaxes(-2, -3)
     v = (kd @ wv.data).reshape((*lead, lk, heads, dh)).swapaxes(-2, -3)
@@ -390,11 +381,10 @@ def attention(query, keys, wq, wk, wv, wo, heads: int, mask=None) -> Tensor:
         g_wq = query.data.swapaxes(-1, -2) @ g_q if wq.requires_grad else None
         g_wk = keys.data.swapaxes(-1, -2) @ g_k if wk.requires_grad else None
         g_wv = keys.data.swapaxes(-1, -2) @ g_v if wv.requires_grad else None
-        return (g_query, g_keys_k, g_keys_v, *_weight_terms(
-            slots, (g_wq, wq.shape), (g_wk, wk.shape), (g_wv, wv.shape), (g_wo, wo.shape)))
+        return g_query, g_keys_k, g_keys_v, g_wq, g_wk, g_wv, g_wo
 
     # keys twice: the k and v projections each send it a gradient term
-    return Tensor(out, _parents=(query, keys, keys, *(wq, wk, wv, wo) * len(slots)), _backward=bwd)
+    return Tensor(out, _parents=(query, keys, keys, wq, wk, wv, wo), _backward=bwd)
 
 
 def gate_mix(a, b, w, bias):
@@ -412,7 +402,6 @@ def gate_mix(a, b, w, bias):
     keep = 1.0 - gate
     from_b = keep * b.data
     out = from_a + from_b
-    slots = _slots(a.data)
 
     def bwd(g):
         g_from_a = _unbroadcast(g, from_a.shape)
@@ -430,11 +419,10 @@ def gate_mix(a, b, w, bias):
             g_a_cat, g_b_cat = np.split(g_both, [a.shape[-1]], axis=-1)
         if w.requires_grad:
             g_w = both.swapaxes(-1, -2) @ g_prod
-        return (g_a, g_b, g_a_cat, g_b_cat,
-                *_weight_terms(slots, (g_w, w.shape), (g_pre, bias.shape)))
+        return g_a, g_b, g_a_cat, g_b_cat, g_w, _row_sum(g_pre, bias.shape)
 
     # a and b twice: the products and the concat each send them a gradient term
-    merged = Tensor(out, _parents=(a, b, a, b, *(w, bias) * len(slots)), _backward=bwd)
+    merged = Tensor(out, _parents=(a, b, a, b, w, bias), _backward=bwd)
     return merged, Tensor(gate)
 
 
@@ -492,7 +480,10 @@ def neg_distance(queries, points) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Populate .grad on every requires_grad leaf reachable from `loss`.
 
-    Repeated calls accumulate into .grad until it is reset to None.
+    A node's term for a parent has the parent's shape, or, from a fused node on
+    a slot axis, one more leading axis that holds one term per slot; those are
+    added one slot at a time in slot order. Repeated calls accumulate into
+    .grad until it is reset to None.
     """
     if loss.data.size != 1:
         raise RankError(f"backward expects a scalar loss, got shape {loss.shape}")
@@ -526,7 +517,5 @@ def backward(loss: Tensor) -> None:
         for parent, pg in zip(node._parents, node._backward(g)):
             if not parent.requires_grad:
                 continue
-            if parent in grads:
-                grads[parent] = grads[parent] + pg
-            else:
-                grads[parent] = pg
+            for term in (pg if pg.ndim > parent.data.ndim else (pg,)):
+                grads[parent] = grads[parent] + term if parent in grads else term

@@ -118,6 +118,8 @@ def load_checkpoint(path) -> StateTracker:
                 raise ValidationError(f"checkpoint {path}: {name!r} shape disagrees with manifest")
             raw = _read(fh, 8 * math.prod(shape), path)
             data = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            if not np.isfinite(data).all():
+                raise ValidationError(f"checkpoint {path}: tensor {name!r} holds a non-finite value")
             if entry["role"] == "trainable":
                 params[name] = ad.parameter(data)
             else:

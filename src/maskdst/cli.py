@@ -13,6 +13,8 @@ import os
 import sys
 from dataclasses import asdict, fields
 
+import numpy as np
+
 from . import autodiff as ad
 from . import checkpoint as ckpt
 from . import data, fusion, training
@@ -266,7 +268,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_output_dirs(args)
-        return args.func(args)
+        # an overflow surfaces as the one-line numerical failure, not as numpy warnings
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (ValidationError, ConfigError, json.JSONDecodeError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -34,6 +34,8 @@ SV_ONLY_MODE = "SV_ONLY"
 # Global gradient-norm bound that train() gives Adam; Adam's decay rates and epsilon.
 CLIP_NORM = 1.0
 ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
+# Share of the corpus that run_ablation holds out; grad_check's central-difference step.
+DEV_FRACTION, FD_STEP = 0.2, 1e-5
 
 
 class NumericalError(RuntimeError):
@@ -224,7 +226,7 @@ def write_csv(rows, path):
 # -- ablation runner -----------------------------------------------------
 
 def run_ablation(ontology: Ontology, dialogues, model_cfg: ModelConfig,
-                 train_cfg: TrainConfig, seeds, dev_fraction: float = 0.2):
+                 train_cfg: TrainConfig, seeds):
     """Train the joint and value-only variants per seed on identical splits.
 
     Returns (rows, summary): rows are dicts variant/seed/joint_accuracy;
@@ -233,7 +235,7 @@ def run_ablation(ontology: Ontology, dialogues, model_cfg: ModelConfig,
     """
     if len(seeds) < 2:
         raise ConfigError("ablation needs at least 2 seeds")
-    n_dev = max(1, int(len(dialogues) * dev_fraction))
+    n_dev = max(1, int(len(dialogues) * DEV_FRACTION))
     train_set, dev_set = dialogues[:-n_dev], dialogues[-n_dev:]
     rows = []
     per_seed = {}
@@ -286,7 +288,7 @@ def tiny_setup(seed: int):
     return tracker, dialogues[0]
 
 
-def grad_check(seed: int = 0, tolerance: float = 1e-4, step: float = 1e-5,
+def grad_check(seed: int = 0, tolerance: float = 1e-4,
                tracker: StateTracker = None, dialogue: Dialogue = None) -> GradCheckReport:
     """Compare analytic gradients of the joint loss with central differences.
 
@@ -318,12 +320,12 @@ def grad_check(seed: int = 0, tolerance: float = 1e-4, step: float = 1e-5,
         a_flat = analytic[name].reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + step
+            flat[i] = orig + FD_STEP
             up = loss_value()
-            flat[i] = orig - step
+            flat[i] = orig - FD_STEP
             down = loss_value()
             flat[i] = orig
-            numeric = (up - down) / (2.0 * step)
+            numeric = (up - down) / (2.0 * FD_STEP)
             a = a_flat[i]
             rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-3)
             worst = np.maximum(worst, rel)  # NaN propagates; max() would drop it

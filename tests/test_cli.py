@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import maskdst
 from maskdst import autodiff as ad
 from maskdst import checkpoint as ckpt
 from maskdst import data, encoders, training
@@ -212,6 +215,14 @@ class TestTrainEvalPipeline:
         echoed = capsys.readouterr().out
         assert '"epochs": 1' in echoed  # flag beats file
         assert '"d": 8' in echoed       # file beats default
+
+
+def set_entry(ck, name, value):
+    """Rewrite checkpoint `ck` with entry 1 of its tensor `name` set to `value`."""
+    tracker = ckpt.load_checkpoint(ck)
+    group = tracker.params if name in tracker.params else tracker.frozen_params
+    group[name].data.reshape(-1)[1] = value
+    ckpt.save_checkpoint(tracker, ck)
 
 
 def assert_one_line_error(rc, capsys, message):
@@ -455,13 +466,20 @@ class TestRejectedInput:
          "manifest.json tensors[0].shape[0] must be an int, got float"),
         (lambda ck, man: man["tensors"][3].update(role="optimizer"),
          "manifest.json tensors[3].role must be one of trainable, frozen, got 'optimizer'"),
+        # before the finiteness check, a NaN weight evaluated to exit 0 and accuracy 0.0
+        (lambda ck, man: set_entry(ck, "glob.slotatt.wq", np.nan),
+         "tensor 'glob.slotatt.wq' holds a non-finite value"),
+        (lambda ck, man: set_entry(ck, "frozen.l0.attn.wv", np.inf),
+         "tensor 'frozen.l0.attn.wv' holds a non-finite value"),
+        (lambda ck, man: set_entry(ck, "op.out.b", -np.inf),
+         "tensor 'op.out.b' holds a non-finite value"),
     ], ids=["truncated", "trailing-bytes", "count", "shape", "unknown-key",
             "learned-positions", "no-positions", "tied-paths", "manifest-not-object",
             "no-tensors", "no-config", "no-vocab", "no-ontology", "no-ontology-hash",
             "entry-no-name", "entry-no-role", "entry-no-shape", "name-list", "vocab-token-int",
             "vocab-longer-than-embedding", "config-d-disagrees", "encoder-layers-0",
             "shape-entry-float",
-            "role-unknown"])
+            "role-unknown", "nan-weight", "inf-frozen", "minus-inf-bias"])
     def test_eval_corrupt_checkpoint(self, corpus_file, checkpoint_file, capsys,
                                      corrupt, message):
         ck = Path(checkpoint_file)
@@ -526,6 +544,21 @@ class TestRejectedInput:
         rc = main(["eval", "--corpus", corpus_file, "--checkpoint", str(ck)])
         assert rc == EXIT_NUMERICAL
         assert "numerical failure: softmax row is fully masked" in capsys.readouterr().err
+
+    def test_train_that_overflows_writes_one_stderr_line(self, tmp_path, corpus_file):
+        """A finite but huge learning rate overflows the second epoch's forward pass. Run
+        in its own process, as numpy prints its warnings there, not under pytest."""
+        ck = tmp_path / "m.ckpt"
+        src = Path(maskdst.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "maskdst.cli", "train", "--corpus", corpus_file,
+             "--out", str(ck), "--epochs", "3", "--d", "8", "--heads", "2", "--ff", "16",
+             "--lr", "1e300"],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True)
+        assert proc.returncode == EXIT_NUMERICAL
+        assert proc.stderr.splitlines() == [
+            "numerical failure: non-finite loss on dialogue 'dlg-1-0001' (epoch 2)"]
+        assert "trained" not in proc.stdout and not ck.exists()
 
     @pytest.mark.parametrize("slots, extra, message", [
         ({"food": ["none", "dontcare"]}, [], "slot 'food' needs two real values"),

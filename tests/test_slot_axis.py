@@ -224,28 +224,56 @@ def test_fusion_stages_gradients_match_finite_differences(seed):
 
 # -- a backward that sums the slots' terms in another order ------------------------
 
-def reversed_slot_terms(monkeypatch):
-    """Make every slot-axis node list its weight terms from the last slot to the first."""
-    honest = ad._weight_terms
+def with_reversed_slot_terms(op):
+    """``op`` whose taped result's backward rule returns every slot-stacked term (one
+    axis more than its parent) from the last slot to the first."""
+    def broken(*args):
+        result = op(*args)
+        node = result[0] if isinstance(result, tuple) else result
+        rule, parents = node._backward, node._parents
+        if rule is not None:
+            node._backward = lambda g: tuple(
+                t[::-1] if t is not None and t.ndim > p.data.ndim else t
+                for p, t in zip(parents, rule(g)))
+        return result
+    return broken
 
-    def reverse(slots, *terms):
-        return honest(slots[::-1], *terms)
 
-    monkeypatch.setattr(ad, "_weight_terms", reverse)
+def reverse_slot_terms(monkeypatch):
+    """Make the four slot-axis nodes add each weight's slot terms from the last slot."""
+    for name in ("linear", "layer_norm", "attention", "gate_mix"):
+        monkeypatch.setattr(ad, name, with_reversed_slot_terms(getattr(ad, name)))
 
 
 @pytest.mark.parametrize("node", ["linear", "self_attention"])
 def test_weight_terms_in_reversed_slot_order_are_caught(node, monkeypatch):
     rng = np.random.default_rng(5)
-    build, oracle, arrays = node_cases(rng, 3, MASKS["global"](T))[node]
-    readout = rng.normal(size=build(*[ad.constant(a) for a in arrays]).shape)
+    _, oracle, arrays = node_cases(rng, 3, MASKS["global"](T))[node]
+    readout = rng.normal(size=oracle(*[ad.constant(a) for a in arrays]).shape)
     trainable = [True] * len(arrays)
     _, want = value_and_grads(oracle, arrays, readout, trainable)
-    reversed_slot_terms(monkeypatch)
+    reverse_slot_terms(monkeypatch)
+    build = node_cases(np.random.default_rng(5), 3, MASKS["global"](T))[node][0]
     _, got = value_and_grads(build, arrays, readout, trainable)
     weights = list(zip(got, want))[1:]
     assert all(np.allclose(g, w, rtol=0.0, atol=1e-12 * np.abs(w).max()) for g, w in weights)
     assert not all(g.tobytes() == w.tobytes() for g, w in weights)
+
+
+@pytest.mark.parametrize("node", NODES)
+def test_slot_axis_node_lists_each_weight_once_with_a_stacked_term(node):
+    """On a [3 x T x d] input a node lists each weight once, after its other inputs, and
+    returns one term of shape (3, *weight shape) for it, one row per slot."""
+    rng = np.random.default_rng(3)
+    build, _oracle, arrays = node_cases(rng, 3, MASKS["global"](T))[node]
+    leaves = [ad.parameter(a) for a in arrays]
+    out = build(*leaves)
+    weights = [leaf for leaf in leaves if leaf.data.ndim < 3]
+    inputs = out._parents[:len(out._parents) - len(weights)]
+    assert [id(p) for p in out._parents[len(inputs):]] == [id(w) for w in weights]
+    assert not any(p is w for p in inputs for w in weights)
+    terms = out._backward(rng.normal(size=out.shape))[len(inputs):]
+    assert [t.shape for t in terms] == [(3, *w.shape) for w in weights]
 
 
 def test_tracker_with_reversed_slot_terms_differs_from_per_slot_oracle(monkeypatch):
@@ -257,11 +285,14 @@ def test_tracker_with_reversed_slot_terms_differs_from_per_slot_oracle(monkeypat
     oracle = ref.PerSlotTracker(ModelConfig(), vocab, onto)
     want = batch_grads(oracle, corpus)
     assert batch_grads(tracker, corpus) == want
-    reversed_slot_terms(monkeypatch)
+    reverse_slot_terms(monkeypatch)
     got = batch_grads(tracker, corpus)
     differ = [n for n in want if got[n] != want[n]]
     assert differ and all(n.startswith(("glob.", "loc.", "gate.", "op.")) for n in differ)
     assert {"op.out.w", "op.out.b"} <= set(differ)
+    for n in differ:
+        g, w = np.frombuffer(got[n]), np.frombuffer(want[n])
+        assert np.allclose(g, w, rtol=0.0, atol=1e-12 * np.abs(w).max()), n
 
 
 # -- the whole tracker against the per-slot oracle --------------------------------
