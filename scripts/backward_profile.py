@@ -9,8 +9,8 @@ benchmark's ``train`` workload uses. While it runs, every autodiff node's
 backward rule is wrapped in a timer when the node is built (by wrapping
 ``Tensor.__init__`` from outside the program, so ``src/`` is unchanged), and
 ``autodiff.backward`` is timed whole. A rule is named after the op that made
-it (``gate_mix``, ``attention``, ...; the ``-`` and ``*`` operators are
-``sub`` and ``mul``).
+it (``gate_mix``, ``attention``, ...; the ``+``, ``*`` and indexing operators
+are ``add``, ``mul`` and ``getitem``).
 
 Prints, per rule, its calls and milliseconds per trained turn and its share
 of the time inside ``autodiff.backward``; the rest of that time, under

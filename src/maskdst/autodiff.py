@@ -154,7 +154,7 @@ def mul(a, b) -> Tensor:
     return Tensor(out, _parents=(a, b), _backward=bwd)
 
 
-# -- matmul -------------------------------------------------------------
+# -- shape checks ---------------------------------------------------------
 
 def _check_matmul(a: np.ndarray, b: np.ndarray) -> None:
     if a.ndim < 2 or b.ndim < 2:
@@ -252,37 +252,44 @@ def _as_mask(mask) -> np.ndarray:
 
 # -- fused nodes ----------------------------------------------------------
 #
-# Each fused op is one node whose forward and backward repeat, numpy call
-# for numpy call, the chain of primitive nodes it replaces (named in its
-# docstring), so values and gradients are bit-identical to that chain.
-# Where the chain sends two gradient terms to the same input, the node
-# lists that input once per term in its parents, so ``backward`` adds the
-# terms one at a time in the chain's order. Parents follow the order in
-# which the chain's expression names its inputs, so the tape walk reaches
-# the inputs, and sums the terms of inputs shared with other nodes, in the
-# chain's order too (``tests/test_fused_ops.py`` checks both, op by op and
-# in the whole tracker). On inputs with a leading slot axis [J x ...], a node
-# equals J 2-D nodes, one per slot: it lists each shared weight once and
-# returns its term stacked over the slots, which ``backward`` adds one slot at
-# a time in slot order, as ((prev + g0) + g1), never as (prev + (g0 + g1)).
+# Each fused op is one node whose forward and backward compute the
+# floating-point operations of the chain of primitive nodes it replaces
+# (named in its docstring) in the chain's order, so values and gradients are
+# bit-identical to that chain. The chain's steps that change no value are
+# left out: undoing a broadcast where, on the shapes the program gives the
+# node (2-D weights, 1-D gains and biases), none happened, and copying a
+# broadcast that only feeds an elementwise product. Where the chain sends
+# two gradient terms to the same input, the node lists that input once per
+# term in its parents, so ``backward`` adds the terms one at a time in the
+# chain's order. Parents follow the order in which the chain's expression
+# names its inputs, so the tape walk reaches the inputs, and sums the terms
+# of inputs shared with other nodes, in the chain's order too
+# (``tests/test_fused_ops.py`` checks both, op by op and in the whole
+# tracker). On inputs with a leading slot axis [J x ...], a node equals J
+# 2-D nodes, one per slot: it lists each shared weight once and returns its
+# term stacked over the slots, which ``backward`` adds one slot at a time in
+# slot order, as ((prev + g0) + g1), never as (prev + (g0 + g1)).
 
-def _row_sum(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """A gain's or bias's term: [J x T x n] -> [J x n], one per slot, else unbroadcast."""
-    return g.sum(axis=-2) if g.ndim == 3 else _unbroadcast(g, shape)
+def _row_sum(g: np.ndarray) -> np.ndarray:
+    """A gain's or bias's term: [(J x) T x n] -> [(J x) n], one per slot; [n] as is."""
+    return g.sum(axis=-2) if g.ndim > 1 else g
+
+
+def _sum_kept(g: np.ndarray, axis: int) -> np.ndarray:
+    """Undo a broadcast along `axis`; a sum over length 1 would turn -0.0 into 0.0."""
+    return g.sum(axis=axis, keepdims=True) if g.shape[axis] > 1 else g
 
 
 def linear(x, w, b) -> Tensor:
     """``x @ w + b``: the chain matmul, then add."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     _check_matmul(x.data, w.data)
-    prod = x.data @ w.data
-    out = prod + b.data
+    out = x.data @ w.data + b.data
 
     def bwd(g):
-        g_prod = _unbroadcast(g, prod.shape)
-        gx = _unbroadcast(g_prod @ w.data.swapaxes(-1, -2), x.shape) if x.requires_grad else None
-        gw = x.data.swapaxes(-1, -2) @ g_prod if w.requires_grad else None
-        return gx, gw, _row_sum(g, b.shape)
+        gx = g @ w.data.swapaxes(-1, -2) if x.requires_grad else None
+        gw = x.data.swapaxes(-1, -2) @ g if w.requires_grad else None
+        return gx, gw, _row_sum(g)
 
     return Tensor(out, _parents=(x, w, b), _backward=bwd)
 
@@ -296,34 +303,27 @@ def layer_norm(x, gain, bias) -> Tensor:
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     inv_n = 1.0 / x.shape[-1]
     sum_x = np.add.reduce(x.data, axis=-1, keepdims=True)
-    mu = sum_x * inv_n
-    xc = x.data - mu
-    sq = xc * xc
-    var = np.add.reduce(sq, axis=-1, keepdims=True) * inv_n
+    xc = x.data - sum_x * inv_n
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) * inv_n
     sd = np.sqrt(var + LAYER_NORM_EPS)
     inv = 1.0 / sd
     normed = xc * inv
-    scaled = normed * gain.data
-    out = scaled + bias.data
+    out = normed * gain.data + bias.data
 
     def bwd(g):
-        g_scaled = _unbroadcast(g, scaled.shape)
-        g_normed = _unbroadcast(g_scaled * gain.data, normed.shape)
-        g_inv = _unbroadcast(g_normed * xc, inv.shape)
-        g_xc = _unbroadcast(g_normed * inv, xc.shape)
-        g_sd = _unbroadcast(-g_inv / (sd * sd), sd.shape)
+        g_normed = g * gain.data
+        g_inv = _sum_kept(g_normed * xc, -1)
+        g_xc = g_normed * inv
+        g_sd = -g_inv / (sd * sd)
         g_var = (g_sd * 0.5 / sd) * inv_n
-        g_sq = np.broadcast_to(g_var, sq.shape).copy()
-        # xc * xc sends g_sq * xc to xc twice
-        term = g_sq * xc
+        # xc * xc sends g_var * xc to xc twice
+        term = g_var * xc
         g_xc = g_xc + term
         g_xc = g_xc + term
-        g_mu = _unbroadcast(-g_xc, mu.shape)
-        g_sum_x = _unbroadcast(g_mu * inv_n, sum_x.shape)
-        g_x_direct = _unbroadcast(g_xc, x.shape)
+        g_sum_x = _sum_kept(-g_xc, -1) * inv_n
+        # a real array, not a broadcast view, so later matmuls see ordinary strides
         g_x_via_mean = np.broadcast_to(g_sum_x, x.shape).copy()
-        return (g_x_direct, g_x_via_mean,
-                _row_sum(g_scaled * normed, gain.shape), _row_sum(g, bias.shape))
+        return g_xc, g_x_via_mean, _row_sum(g * normed), _row_sum(g)
 
     return Tensor(out, _parents=(x, x, gain, bias), _backward=bwd)
 
@@ -396,30 +396,23 @@ def gate_mix(a, b, w, bias):
     a, b, w, bias = as_tensor(a), as_tensor(b), as_tensor(w), as_tensor(bias)
     both = np.concatenate([a.data, b.data], axis=-1)
     _check_matmul(both, w.data)
-    prod = both @ w.data
-    gate = 1.0 / (1.0 + np.exp(-(prod + bias.data)))
-    from_a = gate * a.data
+    gate = 1.0 / (1.0 + np.exp(-(both @ w.data + bias.data)))
     keep = 1.0 - gate
-    from_b = keep * b.data
-    out = from_a + from_b
+    out = gate * a.data + keep * b.data
 
     def bwd(g):
-        g_from_a = _unbroadcast(g, from_a.shape)
-        g_from_b = _unbroadcast(g, from_b.shape)
-        g_gate = _unbroadcast(g_from_a * a.data, gate.shape)
-        g_a = _unbroadcast(g_from_a * gate, a.shape)
-        g_keep = _unbroadcast(g_from_b * b.data, keep.shape)
-        g_b = _unbroadcast(g_from_b * keep, b.shape)
-        g_gate = g_gate + _unbroadcast(-g_keep, gate.shape)
+        g_gate = g * a.data
+        g_a = g * gate
+        g_keep = g * b.data
+        g_b = g * keep
+        g_gate = g_gate + -g_keep
         g_pre = g_gate * gate * (1.0 - gate)
-        g_prod = _unbroadcast(g_pre, prod.shape)
         g_a_cat = g_b_cat = g_w = None
         if a.requires_grad or b.requires_grad:
-            g_both = _unbroadcast(g_prod @ w.data.swapaxes(-1, -2), both.shape)
-            g_a_cat, g_b_cat = np.split(g_both, [a.shape[-1]], axis=-1)
+            g_a_cat, g_b_cat = np.split(g_pre @ w.data.swapaxes(-1, -2), [a.shape[-1]], axis=-1)
         if w.requires_grad:
-            g_w = both.swapaxes(-1, -2) @ g_prod
-        return g_a, g_b, g_a_cat, g_b_cat, g_w, _row_sum(g_pre, bias.shape)
+            g_w = both.swapaxes(-1, -2) @ g_pre
+        return g_a, g_b, g_a_cat, g_b_cat, g_w, _row_sum(g_pre)
 
     # a and b twice: the products and the concat each send them a gradient term
     merged = Tensor(out, _parents=(a, b, a, b, w, bias), _backward=bwd)
@@ -443,9 +436,8 @@ def softmax_nll(logits, gold) -> Tensor:
     out = np.add.accumulate((np.log(picked).sum(axis=-1) * -1.0).reshape(-1))[-1]
 
     def bwd(g):
-        g_log = np.broadcast_to(g * -1.0, picked.shape).copy()
         g_probs = np.zeros_like(probs)
-        np.add.at(g_probs, idx, g_log / picked)
+        np.add.at(g_probs, idx, g * -1.0 / picked)
         return (_softmax_grad(g_probs, probs),)
 
     return Tensor(out, _parents=(logits,), _backward=bwd)
@@ -467,10 +459,9 @@ def neg_distance(queries, points) -> Tensor:
 
     def bwd(g):
         g_sum = (g * -1.0) * 0.5 / dist
-        g_sq = np.broadcast_to(np.expand_dims(g_sum, -1), diff.shape).copy()
-        # diff * diff sends g_sq * diff to diff twice
-        term = g_sq * diff
-        return (_unbroadcast(term + term, q.shape).reshape(queries.shape),)
+        # diff * diff sends g_sum * diff to diff twice
+        term = g_sum[..., None] * diff
+        return (_sum_kept(term + term, -2).reshape(queries.shape),)
 
     return Tensor(out, _parents=(queries,), _backward=bwd)
 
@@ -480,10 +471,10 @@ def neg_distance(queries, points) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Populate .grad on every requires_grad leaf reachable from `loss`.
 
-    A node's term for a parent has the parent's shape, or, from a fused node on
-    a slot axis, one more leading axis that holds one term per slot; those are
-    added one slot at a time in slot order. Repeated calls accumulate into
-    .grad until it is reset to None.
+    A node's rule returns each parent's term in the parent's shape, or, from a
+    fused node on a slot axis, with one more leading axis that holds one term
+    per slot; those are added one slot at a time in slot order. Repeated calls
+    accumulate into .grad until it is reset to None.
     """
     if loss.data.size != 1:
         raise RankError(f"backward expects a scalar loss, got shape {loss.shape}")

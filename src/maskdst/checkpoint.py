@@ -134,7 +134,13 @@ def load_checkpoint(path) -> StateTracker:
         raise ValidationError(f"{manifest_path(path)}: unsupported config "
                               + ", ".join(f"{k}={config[k]!r}" for k in unknown))
     cfg = ModelConfig(**config)
-    vocab = Vocabulary(manifest["vocab"])
+    tokens = manifest["vocab"]
+    vocab = Vocabulary(tokens)
+    # save_checkpoint writes vocab.tokens: distinct tokens, the reserved ones first
+    bad = [t for i, t in enumerate(tokens) if vocab.index.get(t) != i] + vocab.tokens[len(tokens):]
+    if bad:
+        raise ValidationError(f"{manifest_path(path)}: vocabulary token {bad[0]!r} "
+                              "is repeated or out of place")
     for role, got, want in zip(("trainable", "frozen"), (params, frozen),
                                init_params(cfg, len(vocab), _shapes_only(count, path))):
         diff = {(n, t.shape) for n, t in got.items()} ^ {(n, t.shape) for n, t in want.items()}

@@ -59,7 +59,7 @@ def _require_file(path, what):
 
 def _check_output_dirs(args):
     """Reject an output path that is empty or a directory, or whose directory is missing
-    or read-only."""
+    or read-only; for train, also a checkpoint manifest path that is a directory."""
     for flag in ("out", "report", "curve"):
         path = getattr(args, flag, None)
         if path is None:
@@ -71,6 +71,8 @@ def _check_output_dirs(args):
             raise ValidationError(f"--{flag} is a directory: {path}")
         if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
             raise ValidationError(f"--{flag} directory not found or not writable: {directory}")
+    if args.command == "train" and os.path.isdir(ckpt.manifest_path(args.out)):
+        raise ValidationError(f"--out manifest path is a directory: {ckpt.manifest_path(args.out)}")
 
 
 # -- subcommand implementations ------------------------------------------

@@ -31,7 +31,7 @@ from .model import ConfigError, ModelConfig, StateTracker, check_config
 
 JOINT_MODE = "JOINT"
 SV_ONLY_MODE = "SV_ONLY"
-# Global gradient-norm bound that train() gives Adam; Adam's decay rates and epsilon.
+# Adam's global gradient-norm bound, its decay rates and its epsilon.
 CLIP_NORM = 1.0
 ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
 # Share of the corpus that run_ablation holds out; grad_check's central-difference step.
@@ -63,10 +63,9 @@ class TrainConfig:
 # -- optimizer -----------------------------------------------------------
 
 class Adam:
-    def __init__(self, params: dict, lr, clip_norm=None):
+    def __init__(self, params: dict, lr):
         self.params = params
         self.lr = lr
-        self.clip_norm = clip_norm
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -75,12 +74,11 @@ class Adam:
         live = {k: p for k, p in self.params.items() if p.grad is not None}
         if not live:
             return
-        if self.clip_norm is not None:
-            total = math.sqrt(sum(float((p.grad ** 2).sum()) for p in live.values()))
-            if total > self.clip_norm:
-                scale = self.clip_norm / total
-                for p in live.values():
-                    p.grad = p.grad * scale
+        total = math.sqrt(sum(float((p.grad ** 2).sum()) for p in live.values()))
+        if total > CLIP_NORM:
+            scale = CLIP_NORM / total
+            for p in live.values():
+                p.grad = p.grad * scale
         self.t += 1
         bc1 = 1.0 - ADAM_B1 ** self.t
         bc2 = 1.0 - ADAM_B2 ** self.t
@@ -180,7 +178,7 @@ def train(ontology: Ontology, dialogues, model_cfg: ModelConfig,
         raise ValidationError("training corpus is empty")
     vocab = vocab or build_vocab(dialogues, ontology)
     tracker = StateTracker(model_cfg, vocab, ontology)
-    opt = Adam(tracker.params, train_cfg.lr, clip_norm=CLIP_NORM)
+    opt = Adam(tracker.params, train_cfg.lr)
     order_rng = random.Random(train_cfg.seed)
     sv_only = train_cfg.loss_mode == SV_ONLY_MODE
 

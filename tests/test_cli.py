@@ -308,6 +308,17 @@ class TestRejectedInput:
         out = assert_one_line_error(rc, capsys, "--out directory not found or not writable")
         assert out == "" and not ck.exists()
 
+    def test_train_manifest_path_that_is_a_directory(self, tmp_path, corpus_file, capsys):
+        """Rejected before training: unchecked, the run trained, wrote the checkpoint and
+        then failed to open its manifest, leaving a checkpoint without one."""
+        ck = tmp_path / "m.ckpt"
+        manifest = Path(ckpt.manifest_path(ck))
+        manifest.mkdir()
+        rc = main(["train", "--corpus", corpus_file, "--out", str(ck), "--epochs", "1",
+                   "--d", "8", "--heads", "2", "--ff", "16"])
+        out = assert_one_line_error(rc, capsys, f"--out manifest path is a directory: {manifest}")
+        assert out == "" and not ck.exists()
+
     @pytest.mark.parametrize("corrupt, message", [
         (lambda c: [1, 2], "corpus must be an object, got list"),
         (lambda c: c["dialogues"].append(5) or c, "corpus dialogues[8] must be an object, got int"),
@@ -458,6 +469,11 @@ class TestRejectedInput:
          "manifest.json vocab[5] must be a string, got int"),
         (lambda ck, man: man["vocab"].insert(4, "aardvark"),
          "trainable tensor 'turn.embed' disagrees with its config and vocabulary"),
+        # before the check, the overwritten token read as [UNK] and eval exited 0
+        (lambda ck, man: man["vocab"].__setitem__(10, man["vocab"][11]),
+         "vocabulary token 'budget' is repeated or out of place"),
+        (lambda ck, man: man["vocab"].insert(0, man["vocab"].pop(1)),
+         "vocabulary token '[UNK]' is repeated or out of place"),
         (lambda ck, man: man["config"].update(d=4),
          "trainable tensor 'gate.b' disagrees with its config and vocabulary"),
         (lambda ck, man: man["config"].update(encoder_layers=0),
@@ -477,7 +493,8 @@ class TestRejectedInput:
             "learned-positions", "no-positions", "tied-paths", "manifest-not-object",
             "no-tensors", "no-config", "no-vocab", "no-ontology", "no-ontology-hash",
             "entry-no-name", "entry-no-role", "entry-no-shape", "name-list", "vocab-token-int",
-            "vocab-longer-than-embedding", "config-d-disagrees", "encoder-layers-0",
+            "vocab-longer-than-embedding", "vocab-token-twice", "vocab-reserved-out-of-order",
+            "config-d-disagrees", "encoder-layers-0",
             "shape-entry-float",
             "role-unknown", "nan-weight", "inf-frozen", "minus-inf-bias"])
     def test_eval_corrupt_checkpoint(self, corpus_file, checkpoint_file, capsys,

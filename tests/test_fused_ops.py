@@ -4,12 +4,16 @@ Each fused op of ``ad`` (``reference_chains.FUSED`` names them: attention,
 layer norm, linear, the fusion gate, and the heads' distance and NLL) repeats the numpy operations
 of a chain of primitive nodes (kept in ``reference_chains``), so every value
 and every gradient must be bit-identical to that chain, in each op alone and
-in the whole tracker. Likewise the op head, which reads every slot's local
-contexts through one node and scores them with ``nll_from_logits``, must match
-the per-slot, per-turn head of ``reference_chains.PerTurnOpTracker``.
+in the whole tracker; their backward rules return each term in its parent's
+shape without ``ad._unbroadcast``, which only ``add`` and ``mul`` call. Likewise
+the op head, which reads every slot's local contexts through one node and
+scores them with ``nll_from_logits``, must match the per-slot, per-turn head of
+``reference_chains.PerTurnOpTracker``.
 """
 
 import itertools
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -35,11 +39,36 @@ def value_and_grads(build, arrays, readout, trainable):
     return out.data, [leaf.grad for leaf in leaves]
 
 
+# the backward rules of add and mul, the only callers of ad._unbroadcast
+ARITHMETIC_RULES = {c for op in (ad.add, ad.mul) for c in op.__code__.co_consts
+                    if isinstance(c, types.CodeType)}
+
+
+def other_unbroadcast_callers(run):
+    """run() and the functions other than add's and mul's rules that called
+    ``ad._unbroadcast`` in it, as (name, first line)."""
+    unbroadcast, callers = ad._unbroadcast, []
+
+    def counted(grad, shape):
+        code = sys._getframe(1).f_code
+        if code not in ARITHMETIC_RULES:
+            callers.append((code.co_name, code.co_firstlineno))
+        return unbroadcast(grad, shape)
+
+    ad._unbroadcast = counted
+    try:
+        return run(), callers
+    finally:
+        ad._unbroadcast = unbroadcast
+
+
 def assert_bit_identical(fused, reference, arrays, rng, trainable=None):
     trainable = [True] * len(arrays) if trainable is None else trainable
     shape = reference(*[ad.constant(a) for a in arrays]).shape
     readout = rng.normal(size=shape)
-    value, grads = value_and_grads(fused, arrays, readout, trainable)
+    (value, grads), callers = other_unbroadcast_callers(
+        lambda: value_and_grads(fused, arrays, readout, trainable))
+    assert callers == []
     ref_value, ref_grads = value_and_grads(reference, arrays, readout, trainable)
     assert np.array_equal(value, ref_value)
     assert len(grads) == len(ref_grads)
@@ -166,10 +195,13 @@ ROWS = [1, 4]  # one row and a [T x d] sequence
 
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("mixed", [False, True], ids=["all", "mixed"])
-@pytest.mark.parametrize("rows", ROWS)
+@pytest.mark.parametrize("rows", ROWS + [(3, 4)],
+                         ids=lambda r: "x".join(map(str, np.atleast_1d(r))))
 def test_gate_mix_matches_chain(rows, mixed, seed):
+    """[T x d] branches, and [J x T x d] ones (rows (3, 4)), as fusion.fuse gives."""
     rng = np.random.default_rng(seed)
-    arrays = [rng.normal(size=(rows, D)), rng.normal(size=(rows, D)),
+    branch = (*np.atleast_1d(rows), D)
+    arrays = [rng.normal(size=branch), rng.normal(size=branch),
               rng.normal(size=(2 * D, D)), rng.normal(size=D)]
 
     def merged(op):
