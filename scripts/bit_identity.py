@@ -24,14 +24,18 @@ process (BLAS pinned to one thread) and writes the values below to
   compared too;
 - a 3-epoch d=16 training curve, its final weights and its metrics;
 - the beliefs of that trained model after a save/load round trip, with
-  their key order.
+  their key order;
+- that checkpoint's payload, byte for byte, and each top-level entry of its
+  parsed manifest, as JSON with sorted keys: the manifest's layout may change,
+  its content may not.
 
 A belief's key order is the slot indices in the order its keys were inserted,
 padded with -1, so ``compare`` catches a reordered belief too.
 
 ``compare`` also loads each side's checkpoint with the other side's
 ``src``, each in a fresh process, and requires the beliefs of the side that
-wrote it. It prints how many values it compared and how many differ, and
+wrote it. With the payload bytes, that shows both sides write the same files
+and read each other's. It prints how many values it compared and how many differ, and
 exits 1 if any value differs or exists on one side only. Two values are
 equal when their dtype, shape and bytes are equal. After the differing keys
 it prints their count per case and kind of value (init, grad, loss, report,
@@ -222,6 +226,11 @@ def run_dump(src: Path, out_dir: Path):
                 out[f"curve/metrics/{mode}/{name}"] = np.asarray(value)
     ckpt = out_dir / "model.ckpt"
     checkpoint.save_checkpoint(tracker, ckpt)
+    out["checkpoint/payload"] = np.frombuffer(ckpt.read_bytes(), dtype=np.uint8)
+    manifest = json.loads(Path(checkpoint.manifest_path(ckpt)).read_text(encoding="utf-8"))
+    for key, value in manifest.items():
+        text = json.dumps(value, sort_keys=True).encode("utf-8")
+        out[f"checkpoint/manifest/{key}"] = np.frombuffer(text, dtype=np.uint8)
     _belief_values(out, "checkpoint", checkpoint.load_checkpoint(ckpt), train_set + held_out)
 
     np.savez(out_dir / "values.npz", **out)
@@ -333,7 +342,7 @@ def _group(key):
     if parts[0] in ("prefixes", "curve"):
         return case, {"prefixes": "prefix"}.get(parts[0], parts[0])
     kinds = {"init": "init", "catalog": "init", "grad": "grad", "report": "report",
-             "beliefs": "beliefs", "loss": "loss"}
+             "beliefs": "beliefs", "loss": "loss", "payload": "payload", "manifest": "manifest"}
     return case, next((kinds[p] for p in parts[1:] if p in kinds), parts[-1])
 
 

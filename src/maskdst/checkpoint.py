@@ -8,12 +8,14 @@ evaluate / resume time.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
 import math
 import os
 import struct
+import tempfile
 from dataclasses import asdict, fields
 from types import SimpleNamespace
 
@@ -26,6 +28,8 @@ from .model import ModelConfig, StateTracker, init_params
 MAGIC = b"MDSTCKP1"
 # Settings that older manifests record, with the one value the model implements.
 RETIRED_CONFIG = {"use_positional": True, "learned_positions": False, "tie_paths": False}
+_UMASK = os.umask(0)  # read once: os.umask can only be read by setting it
+os.umask(_UMASK)
 MANIFEST = {"tensors": [{"name": str, "role": ("trainable", "frozen"), "shape": [int]}],
             "config": {str: object}, "vocab": [str], "ontology": ONTOLOGY, "ontology_hash": str}
 
@@ -56,41 +60,48 @@ def manifest_path(path: str) -> str:
 
 
 def save_checkpoint(tracker: StateTracker, path):
-    tensors = []
-    for role, group in (("trainable", tracker.params), ("frozen", tracker.frozen_params)):
-        for name in sorted(group):
-            tensors.append((name, role, group[name].data))
-
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(tensors)))
-        for name, _role, data in tensors:
-            raw = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<I", data.ndim))
-            fh.write(struct.pack(f"<{data.ndim}Q", *data.shape))
-            fh.write(np.ascontiguousarray(data, dtype="<f8").tobytes())
-
-    manifest = {
-        "tensors": [
-            {"name": n, "role": r, "shape": list(d.shape)} for n, r, d in tensors
-        ],
-        "config": asdict(tracker.cfg),
-        "vocab": tracker.vocab.tokens,
-        "ontology": tracker.ontology.to_dict(),
-        "ontology_hash": ontology_hash(tracker.ontology),
-    }
-    with open(manifest_path(path), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1)
-        fh.write("\n")
-
-
-def _read(fh, n, path):
-    """The next n bytes of the checkpoint; a ValidationError if fewer remain."""
-    if fh.tell() + n > os.fstat(fh.fileno()).st_size:
-        raise ValidationError(f"checkpoint {path} is truncated")
-    return fh.read(n)
+    """Write the payload and the manifest, each built in memory, to temporary files
+    beside them, then rename both over the old pair, payload first. If anything raises,
+    the temporary files are removed and the old pair is left as it was (a hard link
+    keeps the old payload until the manifest is in place). No fsync: see README."""
+    tensors = [(name, role, group[name].data) for role, group in
+               (("trainable", tracker.params), ("frozen", tracker.frozen_params))
+               for name in sorted(group)]
+    parts = [MAGIC, struct.pack("<I", len(tensors))]
+    for name, _role, data in tensors:
+        raw = name.encode("utf-8")
+        parts += [struct.pack(f"<I{len(raw)}sI{data.ndim}Q", len(raw), raw, data.ndim, *data.shape),
+                  memoryview(np.ascontiguousarray(data, dtype="<f8"))]  # copied once, by join
+    manifest = {"tensors": [{"name": n, "role": r, "shape": list(d.shape)} for n, r, d in tensors],
+                "config": asdict(tracker.cfg), "vocab": tracker.vocab.tokens,
+                "ontology": tracker.ontology.to_dict(),
+                "ontology_hash": ontology_hash(tracker.ontology)}
+    # one top-level key per line; json.dumps without indent runs json's C encoder
+    lines = ",\n".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in manifest.items())
+    path = os.fspath(path)
+    made = []  # every temporary name, each removed at the end
+    try:
+        for target, blob in ((path, b"".join(parts)),
+                             (manifest_path(path), f"{{\n{lines}\n}}\n".encode("utf-8"))):
+            fd, tmp = tempfile.mkstemp(prefix=os.path.basename(target) + ".",
+                                       dir=os.path.dirname(os.path.abspath(target)))
+            made.append(tmp)
+            with os.fdopen(fd, "wb") as fh:
+                os.chmod(tmp, 0o666 & ~_UMASK)  # as open() makes a file, not mkstemp's 0600
+                fh.write(blob)
+        if os.path.exists(path):
+            made.append(made[0] + ".old")
+            os.link(path, made[2])
+        os.replace(made[0], path)
+        try:
+            os.replace(made[1], manifest_path(path))
+        except BaseException:
+            os.replace(made[2], path) if len(made) > 2 else os.unlink(path)
+            raise
+    finally:
+        for tmp in made:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
 
 
 def load_checkpoint(path) -> StateTracker:
@@ -99,33 +110,42 @@ def load_checkpoint(path) -> StateTracker:
     entries = {t["name"]: t for t in manifest["tensors"]}
 
     with open(path, "rb") as fh:
-        if fh.read(len(MAGIC)) != MAGIC:
-            raise ValidationError(f"{path} is not a checkpoint file")
-        (count,) = struct.unpack("<I", _read(fh, 4, path))
-        if count != len(entries):
-            raise ValidationError(f"checkpoint {path}: tensor count disagrees with manifest")
-        params = {}
-        frozen = {}
-        for _ in range(count):
-            (nlen,) = struct.unpack("<I", _read(fh, 4, path))
-            name = _read(fh, nlen, path).decode("utf-8", errors="replace")
-            (ndim,) = struct.unpack("<I", _read(fh, 4, path))
-            shape = struct.unpack(f"<{ndim}Q", _read(fh, 8 * ndim, path))
-            entry = entries.get(name)
-            if entry is None:
-                raise ValidationError(f"checkpoint {path}: {name!r} missing from manifest")
-            if list(shape) != entry["shape"]:
-                raise ValidationError(f"checkpoint {path}: {name!r} shape disagrees with manifest")
-            raw = _read(fh, 8 * math.prod(shape), path)
-            data = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-            if not np.isfinite(data).all():
-                raise ValidationError(f"checkpoint {path}: tensor {name!r} holds a non-finite value")
-            if entry["role"] == "trainable":
-                params[name] = ad.parameter(data)
-            else:
-                frozen[name] = ad.constant(data)
-        if fh.read(1):
-            raise ValidationError(f"checkpoint {path} has bytes after its last tensor")
+        buf = fh.read()
+    if buf[:len(MAGIC)] != MAGIC:
+        raise ValidationError(f"{path} is not a checkpoint file")
+    pos = len(MAGIC)
+
+    def take(n):  # the offset of the next n bytes, now consumed, if that many remain
+        nonlocal pos
+        if pos + n > len(buf):
+            raise ValidationError(f"checkpoint {path} is truncated")
+        pos += n
+        return pos - n
+
+    (count,) = struct.unpack_from("<I", buf, take(4))
+    if count != len(entries):
+        raise ValidationError(f"checkpoint {path}: tensor count disagrees with manifest")
+    params, frozen = {}, {}
+    for _ in range(count):
+        (nlen,) = struct.unpack_from("<I", buf, take(4))
+        name = buf[take(nlen):pos].decode("utf-8", errors="replace")
+        (ndim,) = struct.unpack_from("<I", buf, take(4))
+        shape = struct.unpack_from(f"<{ndim}Q", buf, take(8 * ndim))
+        entry = entries.get(name)
+        if entry is None:
+            raise ValidationError(f"checkpoint {path}: {name!r} missing from manifest")
+        if list(shape) != entry["shape"]:
+            raise ValidationError(f"checkpoint {path}: {name!r} shape disagrees with manifest")
+        n = math.prod(shape)
+        data = np.frombuffer(buf, "<f8", count=n, offset=take(8 * n)).reshape(shape).copy()
+        if not np.isfinite(data).all():
+            raise ValidationError(f"checkpoint {path}: tensor {name!r} holds a non-finite value")
+        if entry["role"] == "trainable":
+            params[name] = ad.parameter(data)
+        else:
+            frozen[name] = ad.constant(data)
+    if pos != len(buf):
+        raise ValidationError(f"checkpoint {path} has bytes after its last tensor")
 
     config = {k: v for k, v in manifest["config"].items()
               if k not in RETIRED_CONFIG or v is not RETIRED_CONFIG[k]}

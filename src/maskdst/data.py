@@ -25,35 +25,39 @@ class ValidationError(ValueError):
 _KINDS = {dict: "an object", list: "a list", str: "a string", int: "an int"}
 
 
-def check(value, schema, where: str, path: str = ""):
+def check(value, schema, where: str, path: str = "", _objects=None):
     """Return `value`, or raise ValidationError naming the first path where it
     does not match `schema`: a type; (str, ...), one of those strings; [item], a
     list of items; {str: item}, an object with any keys; or {key: item}, an object
     with exactly those keys, where a key ending in "?" is optional. A bool is not
-    an int."""
+    an int. Within one call, each object schema's fields are worked out once."""
     at = f"{where} {path}" if path else where
     kind = {list: list, dict: dict, tuple: str}.get(type(schema), schema)
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ValidationError(f"{at} must be {_KINDS[kind]}, got {type(value).__name__}")
     if isinstance(schema, tuple) and value not in schema:
         raise ValidationError(f"{at} must be one of {', '.join(schema)}, got {value!r}")
+    objects = {} if _objects is None else _objects
     # below, a leaf of exactly its schema's type is valid, so it needs no call
     if isinstance(schema, list):
         for i, item in enumerate(value):
             if type(item) is not schema[0]:
-                check(item, schema[0], where, f"{path}[{i}]")
+                check(item, schema[0], where, f"{path}[{i}]", objects)
     elif isinstance(schema, dict):
-        fields = {k.rstrip("?"): item for k, item in schema.items() if k is not str}
-        missing = [k for k in schema if k is not str and k[-1] != "?" and k not in value]
+        if id(schema) not in objects:
+            objects[id(schema)] = ({k.rstrip("?"): s for k, s in schema.items() if k is not str},
+                                   [k for k in schema if k is not str and k[-1] != "?"])
+        fields, required = objects[id(schema)]
+        missing = [k for k in required if k not in value]
         if missing:
             raise ValidationError(f"{at} lacks {missing[0]}")
-        unknown = [] if str in schema else sorted(set(value) - set(fields))
+        unknown = [] if str in schema else sorted(set(value) - fields.keys())
         if unknown:
             raise ValidationError(f"{at} has unknown keys: {', '.join(unknown)}")
         for k, item in value.items():
             sub = fields.get(k, schema.get(str))
             if type(item) is not sub:
-                check(item, sub, where, f"{path}.{k}" if path else k)
+                check(item, sub, where, f"{path}.{k}" if path else k, objects)
     return value
 
 
@@ -182,16 +186,9 @@ class Vocabulary:
 
 
 def build_vocab(dialogues, ontology: Ontology) -> Vocabulary:
-    seen = set()
-    for d in dialogues:
-        for turn in d.turns:
-            seen.update(tokenize_text(turn.system))
-            seen.update(tokenize_text(turn.user))
-    for slot, values in ontology.slots.items():
-        seen.update(tokenize_text(slot))
-        for v in values:
-            seen.update(tokenize_text(v))
-    return Vocabulary(sorted(seen))
+    texts = {text for d in dialogues for turn in d.turns for text in (turn.system, turn.user)}
+    texts.update(ontology.slots, *ontology.slots.values())
+    return Vocabulary(sorted({token for text in texts for token in tokenize_text(text)}))
 
 
 def tokenize_turn(system: str, user: str, vocab: Vocabulary,
@@ -360,6 +357,7 @@ def _slot_word(slot: str) -> str:
 def generate_dialogue(ontology: Ontology, rng: random.Random,
                       shape: GenShape, dialogue_id: str) -> Dialogue:
     slots = ontology.slot_names
+    real = {slot: ontology.real_values(slot) for slot in slots}
     n_turns = rng.randint(shape.min_turns, shape.max_turns)
     belief = {}
     turns = []
@@ -373,23 +371,19 @@ def generate_dialogue(ontology: Ontology, rng: random.Random,
                     if rng.random() < DONTCARE_PROB:
                         changes.append((slot, DONTCARE_VALUE))
                     else:
-                        changes.append((slot, rng.choice(ontology.real_values(slot))))
+                        changes.append((slot, rng.choice(real[slot])))
             elif cur != DONTCARE_VALUE and rng.random() < UPDATE_PROB:
-                alternatives = [v for v in ontology.real_values(slot) if v != cur]
+                alternatives = [v for v in real[slot] if v != cur]
                 if alternatives:
                     changes.append((slot, rng.choice(alternatives)))
         if t == 0 and not changes:
             slot = rng.choice(slots)
-            changes.append((slot, rng.choice(ontology.real_values(slot))))
+            changes.append((slot, rng.choice(real[slot])))
 
         clauses = []
         for slot, value in changes:
-            if value == DONTCARE_VALUE:
-                template = rng.choice(_DONTCARE_TEMPLATES)
-                clauses.append(template.format(slot=_slot_word(slot)))
-            else:
-                template = rng.choice(_USER_TEMPLATES)
-                clauses.append(template.format(slot=_slot_word(slot), value=value))
+            templates = _DONTCARE_TEMPLATES if value == DONTCARE_VALUE else _USER_TEMPLATES
+            clauses.append(rng.choice(templates).format(slot=_slot_word(slot), value=value))
             belief[slot] = value
         user = " and ".join(clauses) if clauses else rng.choice(
             ("that sounds good , thanks", "ok great , go ahead")
@@ -399,7 +393,7 @@ def generate_dialogue(ontology: Ontology, rng: random.Random,
             system = ""
         elif rng.random() < DISTRACTOR_PROB:
             slot = rng.choice(slots)
-            d1, d2 = rng.sample(ontology.real_values(slot), 2)
+            d1, d2 = rng.sample(real[slot], 2)
             system = rng.choice(_SYSTEM_TEMPLATES).format(
                 slot=_slot_word(slot), d1=d1, d2=d2
             )

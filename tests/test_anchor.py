@@ -68,6 +68,8 @@ def test_compare_groups_keys_by_case_and_kind(bit_identity):
         "curve/final/gate.w": ("curve", "curve"),
         "a_reads_b/checkpoint/beliefs/op_gated": ("a_reads_b", "beliefs"),
         "tiny0/dialogue0/beliefs/op_gated/order": ("tiny0", "beliefs"),
+        "checkpoint/payload": ("checkpoint", "payload"),
+        "checkpoint/manifest/vocab": ("checkpoint", "manifest"),
     }
     assert {k: bit_identity._group(k) for k in groups} == groups
     a = np.asarray([2.0, -4.0])

@@ -69,6 +69,20 @@ class TestCheck:
     def test_any_value_schema(self):
         assert data.check({"a": [None, 1.5]}, {"a?": object}, "cfg") == {"a": [None, 1.5]}
 
+    @pytest.mark.parametrize("value, message", [
+        ({"a": [{"x": 1}, {"x": 2}, {}], "b": []}, r"file a\[2\] lacks x"),
+        ({"a": [{"x": 1}, {"x": 2, "z": 3}], "b": []}, r"file a\[1\] has unknown keys: z"),
+        ({"a": [{"x": 1}], "b": [{"y": "s"}, {"x": 1}]}, r"file b\[1\] lacks y"),
+        ({"a": [{"x": 1}], "b": [{"x": 1, "y": "s"}, {"y": 2}]},
+         r"file b\[1\].y must be a string, got int"),
+    ], ids=["a-missing", "a-unknown", "b-missing", "b-type"])
+    def test_object_schemas_in_lists_checked_per_entry(self, value, message):
+        """Each object schema's keys are worked out once per call and kept apart from
+        every other schema's."""
+        schema = {"a": [{"x": int, "w?": str}], "b": [{"x?": int, "y": str}]}
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            data.check(value, schema, "file")
+
 
 class TestOntology:
     def test_missing_sentinel_rejected(self):
@@ -118,6 +132,22 @@ class TestTokenizer:
     def test_unknown_tokens_map_to_unk(self, vocab):
         ids = tokenize_turn("", "zzzunknown", vocab)
         assert vocab.unk_id in ids
+
+
+def test_build_vocab_tokenizes_each_distinct_text_once(monkeypatch):
+    """The tokens of every utterance, slot name and value, sorted, from one
+    tokenize_text call per distinct text."""
+    ontology = data.demo_ontology()
+    dialogues = generate_corpus(ontology, 16, seed=201, shape=GenShape(min_turns=8, max_turns=8))
+    texts = [t for d in dialogues for turn in d.turns for t in (turn.system, turn.user)]
+    texts += [t for slot, values in ontology.slots.items() for t in [slot, *values]]
+    want = sorted({token for t in texts for token in data.tokenize_text(t)})
+    calls = []
+    tokenize = data.tokenize_text
+    monkeypatch.setattr(data, "tokenize_text", lambda text: calls.append(text) or tokenize(text))
+    vocab = build_vocab(dialogues, ontology)
+    assert vocab.tokens == [PAD, "[UNK]", "[CLS]", "[SEP]"] + want
+    assert sorted(calls) == sorted(set(texts)) and len(set(texts)) < len(texts) / 2
 
 
 ADVERSARIAL_TEXT = [
