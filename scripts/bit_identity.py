@@ -35,7 +35,9 @@ padded with -1, so ``compare`` catches a reordered belief too.
 ``compare`` also loads each side's checkpoint with the other side's
 ``src``, each in a fresh process, and requires the beliefs of the side that
 wrote it. With the payload bytes, that shows both sides write the same files
-and read each other's. It prints how many values it compared and how many differ, and
+and read each other's. A side that refuses the other's checkpoint, as across
+a change of checkpoint format, is reported by its one-line message and fails
+the comparison. It prints how many values it compared and how many differ, and
 exits 1 if any value differs or exists on one side only. Two values are
 equal when their dtype, shape and bytes are equal. After the differing keys
 it prints their count per case and kind of value (init, grad, loss, report,
@@ -141,7 +143,7 @@ def _dialogue_values(out, key, tracker, dialogue):
 
 
 def _tracker_values(out, key, tracker, dialogues):
-    for name, p in {**tracker.params, **tracker.frozen_params}.items():
+    for name, p in tracker.params.items():
         out[f"{key}/init/{name}"] = p.data.copy()
     for j, slot in enumerate(tracker.ontology.slot_names):
         out[f"{key}/catalog/{slot}/slot"] = tracker.catalog.slot_mat[j]
@@ -238,12 +240,19 @@ def run_dump(src: Path, out_dir: Path):
 
 
 def run_load(src: Path, ckpt: Path, out_file: Path):
-    """Beliefs of a checkpoint written elsewhere, loaded by this src."""
+    """Beliefs of a checkpoint written elsewhere, loaded by this src; if this src refuses
+    it, its message, written beside `out_file` with the suffix ``.refused``."""
     _import_from(src)
     from maskdst import checkpoint
+    from maskdst.data import ValidationError
     _onto, train_set, held_out = _checkpoint_dialogues()
+    try:
+        tracker = checkpoint.load_checkpoint(ckpt)
+    except ValidationError as e:
+        out_file.with_suffix(".refused").write_text(str(e))
+        return
     out = {}
-    _belief_values(out, "checkpoint", checkpoint.load_checkpoint(ckpt), train_set + held_out)
+    _belief_values(out, "checkpoint", tracker, train_set + held_out)
     np.savez(out_file, **out)
 
 
@@ -263,16 +272,16 @@ def _anchor_cases():
 
 
 def anchor_values(weight_scale: float = 1.0) -> dict:
-    """The anchor's values from the maskdst importable here, every trainable and
-    frozen weight first multiplied by `weight_scale`."""
+    """The anchor's values from the maskdst importable here, every trainable weight and
+    catalog row first multiplied by `weight_scale` when it is not 1."""
     from maskdst import autodiff as ad
-    from maskdst.model import StateTracker
     out = {}
     for key, tracker, dialogue in _anchor_cases():
-        for p in {**tracker.params, **tracker.frozen_params}.values():
-            p.data = p.data * weight_scale
-        tracker = StateTracker(tracker.cfg, tracker.vocab, tracker.ontology,
-                               tracker.params, tracker.frozen_params)
+        if weight_scale != 1.0:
+            from maskdst.encoders import SlotCatalog
+            for p in tracker.params.values():
+                p.data = p.data * weight_scale
+            tracker.catalog = SlotCatalog(tracker.ontology, tracker.catalog.rows * weight_scale)
         names = sorted(tracker.params)
         for sv_only in (False, True):
             k = f"{key}/{'sv_only' if sv_only else 'joint'}"
@@ -370,21 +379,27 @@ def _print_groups(differ, values):
 def compare(dir_a: Path, dir_b: Path) -> int:
     a, b = _load(dir_a / "values.npz"), _load(dir_b / "values.npz")
     pairs = [(k, a.get(k), b.get(k)) for k in sorted(a.keys() | b.keys())]
+    refused = []
     with tempfile.TemporaryDirectory() as tmp:
         for reader, writer, name in ((dir_a, dir_b, "a_reads_b"), (dir_b, dir_a, "b_reads_a")):
             src = Path(json.loads((reader / "meta.json").read_text())["src"])
             got = Path(tmp) / f"{name}.npz"
             _fresh("_load", src, writer / "model.ckpt", got, src=src)
+            if got.with_suffix(".refused").exists():
+                refused.append(f"{name}: refused: {got.with_suffix('.refused').read_text()}")
+                continue
             want = b if writer == dir_b else a
             pairs += [(f"{name}/{k}", v, want.get(k)) for k, v in sorted(_load(got).items())]
     differ = [k for k, x, y in pairs if x is None or y is None or not _same(x, y)]
     numbers = sum(x.size for _, x, _ in pairs if x is not None)
     print(f"compared {len(pairs)} values ({numbers} numbers): {len(differ)} differ")
+    for line in refused:
+        print(f"  {line}")
     for k in differ[:20]:
         print(f"  differs: {k}")
     if differ:
         _print_groups(differ, {k: (x, y) for k, x, y in pairs})
-    return 1 if differ else 0
+    return 1 if differ or refused else 0
 
 
 def main(argv=None) -> int:

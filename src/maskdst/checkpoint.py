@@ -1,9 +1,9 @@
 """Checkpoint container: binary little-endian float64 payload with a
 human-readable JSON manifest beside it.
 
-The manifest records tensor names/shapes/roles, the model config, the
-vocabulary, the ontology, and an ontology hash that must match at
-evaluate / resume time.
+The payload holds the trainable tensors and the encoded catalog. The manifest
+records tensor names and shapes, the model config, the vocabulary, the ontology,
+its hash, which must match at evaluate / resume time, and the payload's SHA-256.
 """
 
 from __future__ import annotations
@@ -23,15 +23,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import ONTOLOGY, Ontology, ValidationError, Vocabulary, check
+from .encoders import SlotCatalog
 from .model import ModelConfig, StateTracker, init_params
 
-MAGIC = b"MDSTCKP1"
-# Settings that older manifests record, with the one value the model implements.
-RETIRED_CONFIG = {"use_positional": True, "learned_positions": False, "tie_paths": False}
+MAGIC = b"MDSTCKP2"
 _UMASK = os.umask(0)  # read once: os.umask can only be read by setting it
 os.umask(_UMASK)
-MANIFEST = {"tensors": [{"name": str, "role": ("trainable", "frozen"), "shape": [int]}],
-            "config": {str: object}, "vocab": [str], "ontology": ONTOLOGY, "ontology_hash": str}
+MANIFEST = {"tensors": [{"name": str, "shape": [int]}], "config": {str: object},
+            "vocab": [str], "ontology": ONTOLOGY, "ontology_hash": str, "payload_sha256": str}
 
 
 def _shapes_only(limit: int, path):
@@ -64,24 +63,25 @@ def save_checkpoint(tracker: StateTracker, path):
     beside them, then rename both over the old pair, payload first. If anything raises,
     the temporary files are removed and the old pair is left as it was (a hard link
     keeps the old payload until the manifest is in place). No fsync: see README."""
-    tensors = [(name, role, group[name].data) for role, group in
-               (("trainable", tracker.params), ("frozen", tracker.frozen_params))
-               for name in sorted(group)]
+    tensors = [(name, tracker.params[name].data) for name in sorted(tracker.params)]
+    tensors.append(("catalog", tracker.catalog.rows))
     parts = [MAGIC, struct.pack("<I", len(tensors))]
-    for name, _role, data in tensors:
+    for name, data in tensors:
         raw = name.encode("utf-8")
         parts += [struct.pack(f"<I{len(raw)}sI{data.ndim}Q", len(raw), raw, data.ndim, *data.shape),
                   memoryview(np.ascontiguousarray(data, dtype="<f8"))]  # copied once, by join
-    manifest = {"tensors": [{"name": n, "role": r, "shape": list(d.shape)} for n, r, d in tensors],
+    payload = b"".join(parts)
+    manifest = {"tensors": [{"name": n, "shape": list(d.shape)} for n, d in tensors],
                 "config": asdict(tracker.cfg), "vocab": tracker.vocab.tokens,
                 "ontology": tracker.ontology.to_dict(),
-                "ontology_hash": ontology_hash(tracker.ontology)}
+                "ontology_hash": ontology_hash(tracker.ontology),
+                "payload_sha256": hashlib.sha256(payload).hexdigest()}
     # one top-level key per line; json.dumps without indent runs json's C encoder
     lines = ",\n".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in manifest.items())
     path = os.fspath(path)
     made = []  # every temporary name, each removed at the end
     try:
-        for target, blob in ((path, b"".join(parts)),
+        for target, blob in ((path, payload),
                              (manifest_path(path), f"{{\n{lines}\n}}\n".encode("utf-8"))):
             fd, tmp = tempfile.mkstemp(prefix=os.path.basename(target) + ".",
                                        dir=os.path.dirname(os.path.abspath(target)))
@@ -105,14 +105,15 @@ def save_checkpoint(tracker: StateTracker, path):
 
 
 def load_checkpoint(path) -> StateTracker:
-    with open(manifest_path(path), encoding="utf-8") as fh:
-        manifest = check(json.load(fh), MANIFEST, manifest_path(path))
-    entries = {t["name"]: t for t in manifest["tensors"]}
-
     with open(path, "rb") as fh:
         buf = fh.read()
+    if buf.startswith(b"MDSTCKP1"):
+        raise ValidationError(f"{path} is in the older MDSTCKP1 checkpoint format; train it again")
     if buf[:len(MAGIC)] != MAGIC:
         raise ValidationError(f"{path} is not a checkpoint file")
+    with open(manifest_path(path), encoding="utf-8") as fh:
+        manifest = check(json.load(fh), MANIFEST, manifest_path(path))
+    entries = {t["name"]: t["shape"] for t in manifest["tensors"]}
     pos = len(MAGIC)
 
     def take(n):  # the offset of the next n bytes, now consumed, if that many remain
@@ -125,35 +126,29 @@ def load_checkpoint(path) -> StateTracker:
     (count,) = struct.unpack_from("<I", buf, take(4))
     if count != len(entries):
         raise ValidationError(f"checkpoint {path}: tensor count disagrees with manifest")
-    params, frozen = {}, {}
+    params = {}
     for _ in range(count):
         (nlen,) = struct.unpack_from("<I", buf, take(4))
         name = buf[take(nlen):pos].decode("utf-8", errors="replace")
         (ndim,) = struct.unpack_from("<I", buf, take(4))
         shape = struct.unpack_from(f"<{ndim}Q", buf, take(8 * ndim))
-        entry = entries.get(name)
-        if entry is None:
-            raise ValidationError(f"checkpoint {path}: {name!r} missing from manifest")
-        if list(shape) != entry["shape"]:
+        if entries.get(name) != list(shape):
             raise ValidationError(f"checkpoint {path}: {name!r} shape disagrees with manifest")
         n = math.prod(shape)
         data = np.frombuffer(buf, "<f8", count=n, offset=take(8 * n)).reshape(shape).copy()
         if not np.isfinite(data).all():
             raise ValidationError(f"checkpoint {path}: tensor {name!r} holds a non-finite value")
-        if entry["role"] == "trainable":
-            params[name] = ad.parameter(data)
-        else:
-            frozen[name] = ad.constant(data)
+        params[name] = ad.parameter(data)
     if pos != len(buf):
         raise ValidationError(f"checkpoint {path} has bytes after its last tensor")
+    if hashlib.sha256(buf).hexdigest() != manifest["payload_sha256"]:
+        raise ValidationError(f"checkpoint {path} does not match its manifest's payload hash")
 
-    config = {k: v for k, v in manifest["config"].items()
-              if k not in RETIRED_CONFIG or v is not RETIRED_CONFIG[k]}
-    unknown = sorted(set(config) - {f.name for f in fields(ModelConfig)})
+    unknown = sorted(set(manifest["config"]) - {f.name for f in fields(ModelConfig)})
     if unknown:
         raise ValidationError(f"{manifest_path(path)}: unsupported config "
-                              + ", ".join(f"{k}={config[k]!r}" for k in unknown))
-    cfg = ModelConfig(**config)
+                              + ", ".join(f"{k}={manifest['config'][k]!r}" for k in unknown))
+    cfg = ModelConfig(**manifest["config"])
     tokens = manifest["vocab"]
     vocab = Vocabulary(tokens)
     # save_checkpoint writes vocab.tokens: distinct tokens, the reserved ones first
@@ -161,17 +156,21 @@ def load_checkpoint(path) -> StateTracker:
     if bad:
         raise ValidationError(f"{manifest_path(path)}: vocabulary token {bad[0]!r} "
                               "is repeated or out of place")
-    for role, got, want in zip(("trainable", "frozen"), (params, frozen),
-                               init_params(cfg, len(vocab), _shapes_only(count, path))):
-        diff = {(n, t.shape) for n, t in got.items()} ^ {(n, t.shape) for n, t in want.items()}
-        if diff:
-            raise ValidationError(f"checkpoint {path}: {role} tensor {min(diff)[0]!r} "
-                                  "disagrees with its config and vocabulary")
+    catalog = params.pop("catalog", None)
+    want = init_params(cfg, len(vocab), _shapes_only(count, path))
+    diff = {(n, t.shape) for n, t in params.items()} ^ {(n, t.shape) for n, t in want.items()}
+    if diff:
+        raise ValidationError(f"checkpoint {path}: trainable tensor {min(diff)[0]!r} "
+                              "disagrees with its config and vocabulary")
     ontology = Ontology(manifest["ontology"])
     stored_hash = manifest["ontology_hash"]
     if stored_hash != ontology_hash(ontology):
         raise ValidationError("checkpoint ontology hash does not match its ontology")
-    return StateTracker(cfg, vocab, ontology, params=params, frozen_params=frozen)
+    shape = (len(ontology.slots) + sum(map(len, ontology.slots.values())), cfg.d)
+    if catalog is None or catalog.shape != shape:
+        raise ValidationError(f"checkpoint {path} needs a catalog of shape {shape}: a row "
+                              "per slot and value of its ontology, d wide")
+    return StateTracker(cfg, vocab, ontology, params, SlotCatalog(ontology, catalog.data))
 
 
 def check_ontology_match(tracker: StateTracker, ontology: Ontology):

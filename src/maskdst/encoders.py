@@ -1,16 +1,15 @@
-"""Turn-level trainable encoder, the frozen slot/value catalog encoder,
-and sinusoidal positional encoding.
+"""Turn-level trainable encoder, the encoded slot/value catalog, and
+sinusoidal positional encoding.
 
-The turn encoder is a small from-scratch transformer; the catalog encoder
-is a separately-initialized copy of the same architecture whose weights
-never receive gradients, giving fixed metric targets for the distance head.
+The turn encoder is a small from-scratch transformer. The catalog gives the
+distance head fixed metric targets: each slot name and value encoded once by a
+separately-initialized copy of that architecture, whose weights are then dropped.
 Both take their sizes from `cfg`, the tracker's `ModelConfig`.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -117,16 +116,21 @@ def encode_turn(ids, params, prefix, cfg) -> Tensor:
 
 # -- frozen slot/value catalog ------------------------------------------
 
-@dataclass
 class SlotCatalog:
-    slot_mat: np.ndarray  # [J x d], rows in ontology slot order
-    value_mats: dict      # slot -> np.ndarray [|v_s| x d], rows in ontology order
+    """`rows` [J + sum |v_s| x d], read-only: J slot rows, then each slot's value rows, in
+    ontology order; `slot_mat` [J x d] and `value_mats` (slot -> [|v_s| x d]) view it."""
+
+    def __init__(self, ontology: Ontology, rows: np.ndarray):
+        rows.setflags(write=False)
+        sizes = [len(ontology.slots)] + [len(v) for v in ontology.slots.values()]
+        self.rows = rows
+        self.slot_mat, *value_mats = np.split(rows, np.cumsum(sizes)[:-1])
+        self.value_mats = dict(zip(ontology.slots, value_mats))
 
 
-def encode_catalog(ontology: Ontology, frozen_params, prefix, cfg,
-                   vocab: Vocabulary) -> SlotCatalog:
-    """Encode every slot name and candidate value with the frozen encoder, pooled
-    to the [CLS] row of its frame.
+def encode_catalog(ontology: Ontology, weights, cfg, vocab: Vocabulary) -> SlotCatalog:
+    """Encode every slot name and candidate value with the frozen encoder, whose
+    `weights` are named "frozen.*", pooled to the [CLS] row of its frame.
 
     Entries whose frames have one length run as one ``encode_turn`` batch, so a
     catalog costs one encoder pass per distinct frame length, bit for bit the
@@ -143,9 +147,6 @@ def encode_catalog(ontology: Ontology, frozen_params, prefix, cfg,
     pooled = np.empty((len(texts), cfg.d))
     with ad.no_grad():
         for rows in by_length.values():
-            enc = encode_turn([frames[i] for i in rows], frozen_params, prefix, cfg)
+            enc = encode_turn([frames[i] for i in rows], weights, "frozen", cfg)
             pooled[rows] = enc.data[:, 0]
-    pooled.setflags(write=False)
-    bounds = np.cumsum([len(slots)] + [len(ontology.values_of(s)) for s in slots])
-    slot_mat, *value_mats = np.split(pooled, bounds[:-1])
-    return SlotCatalog(slot_mat, dict(zip(slots, value_mats)))
+    return SlotCatalog(ontology, pooled)

@@ -1,6 +1,6 @@
 """Full tracker: shared turn encoder, two fusion branches, both heads.
 
-Holds the trainable parameter set, the frozen catalog encoder, and the
+Holds the trainable parameter set, the encoded slot/value catalog, and the
 per-dialogue forward pass used by training, evaluation and grad checking.
 """
 
@@ -24,7 +24,6 @@ from .data import (
 )
 from .encoders import (
     ConfigError,
-    SlotCatalog,
     encode_catalog,
     encode_turn,
     init_encoder,
@@ -90,7 +89,7 @@ class DialogueOutput:
 
 
 def init_params(cfg: ModelConfig, vocab_size: int, generator=np.random.default_rng):
-    """Fresh (trainable, frozen) tracker parameters, each set drawn from `generator(seed)`."""
+    """Fresh trainable tracker parameters, drawn from `generator(seed)`."""
     rng = generator(cfg.seed)
     params = {}
     init_encoder(params, "turn", cfg, vocab_size, rng)
@@ -98,26 +97,27 @@ def init_params(cfg: ModelConfig, vocab_size: int, generator=np.random.default_r
         fusion.init_branch(params, branch, cfg.d, cfg.ff, cfg.heads, cfg.hier_layers, rng)
     fusion.init_gate(params, cfg.d, rng)
     init_op_decoder(params, cfg.d, cfg.num_ops, rng)
+    return params
 
+
+def catalog_encoder(cfg: ModelConfig, vocab_size: int):
+    """The frozen catalog encoder: a fresh tracker encodes its catalog with it, then drops it."""
     frozen = {}
-    init_encoder(frozen, "frozen", cfg, vocab_size, generator(cfg.seed + 104729))
-    for p in frozen.values():
-        p.requires_grad = False
-    return params, frozen
+    init_encoder(frozen, "frozen", cfg, vocab_size, np.random.default_rng(cfg.seed + 104729))
+    return frozen
 
 
 class StateTracker:
     def __init__(self, cfg: ModelConfig, vocab: Vocabulary, ontology: Ontology,
-                 params=None, frozen_params=None):
-        """A fresh tracker, or one with the given (params, frozen_params) pair."""
+                 params=None, catalog=None):
+        """A tracker of the given trainable params and SlotCatalog, each made fresh if None."""
         self.cfg = cfg
         self.vocab = vocab
         self.ontology = ontology
-        if params is None:
-            params, frozen_params = init_params(cfg, len(vocab))
-        self.params = params
-        self.frozen_params = frozen_params
-        self.catalog: SlotCatalog = encode_catalog(ontology, frozen_params, "frozen", cfg, vocab)
+        self.params = init_params(cfg, len(vocab)) if params is None else params
+        if catalog is None:
+            catalog = encode_catalog(ontology, catalog_encoder(cfg, len(vocab)), cfg, vocab)
+        self.catalog = catalog
         # untaped reuse: (weight bits, {(system, user): (glob, loc) [J x d]})
         self._reuse = (np.empty(0, np.int64), {})
 

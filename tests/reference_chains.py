@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -362,16 +363,18 @@ def slot_context(params, prefix, slot_vec: np.ndarray, hier_out: Tensor,
     return out[0]
 
 
-def encode_catalog_per_entry(ontology, frozen_params, prefix, cfg, vocab):
-    """``encoders.encode_catalog`` with one ``encode_turn`` pass per catalog entry."""
+def encode_catalog_per_entry(ontology, weights, cfg, vocab):
+    """``encoders.encode_catalog`` with one ``encode_turn`` pass per catalog entry: its
+    ``slot_mat`` and ``value_mats``, each stacked on its own rather than split from one
+    array of rows."""
     def pooled(text):
         ids = tokenize_catalog_entry(text, vocab)
-        return encoders.encode_turn(ids, frozen_params, prefix, cfg).data[0].copy()
+        return encoders.encode_turn(ids, weights, "frozen", cfg).data[0].copy()
 
-    slot_vecs = {s: pooled(s) for s in ontology.slot_names}
+    slot_mat = np.stack([pooled(s) for s in ontology.slot_names])
     value_mats = {s: np.stack([pooled(v) for v in ontology.values_of(s)])
                   for s in ontology.slot_names}
-    return encoders.SlotCatalog(np.stack(list(slot_vecs.values())), value_mats)
+    return SimpleNamespace(slot_mat=slot_mat, value_mats=value_mats)
 
 
 def slot_vecs_of(catalog) -> dict:

@@ -1,5 +1,6 @@
-"""Checkpoint files: the payload parser's bounds, atomic writes, and a writer whose
-files are stable across a save/load round trip and readable in the older layout."""
+"""Checkpoint files: the payload parser's bounds, atomic writes, a payload hash that
+rejects a torn pair, a catalog that is read rather than encoded again, a writer whose
+files are stable across a save/load round trip, and the older format rejected by name."""
 
 import json
 import math
@@ -7,17 +8,22 @@ import os
 import random
 import stat
 import struct
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
 from maskdst import checkpoint as ckpt
-from maskdst import data
+from maskdst import data, model
+from maskdst.cli import EXIT_VALIDATION, main
 from maskdst.data import ValidationError
 from maskdst.model import ModelConfig, StateTracker
 
-# Written by save_checkpoint while it encoded the manifest with json.dump(indent=1),
-# one value per line; the tracker is d4_tracker().
+# Written by save_checkpoint in the older MDSTCKP1 format, which held the frozen catalog
+# encoder's 13 tensors, with its manifest in the json.dump(indent=1) layout; the tracker
+# is d4_tracker().
 INDENT1 = Path(__file__).with_name("indent1_layout.ckpt")
 
 
@@ -39,18 +45,27 @@ def saved(tmp_path):
     return path
 
 
+def eval_checkpoint(path, tmp_path, capsys):
+    """`maskdst eval` of checkpoint `path` on a demo-ontology corpus: (exit code, stdout,
+    stderr lines)."""
+    onto = data.demo_ontology()
+    corpus = tmp_path / "corpus.json"
+    data.save_corpus(onto, data.generate_corpus(onto, 2, seed=5), corpus)
+    rc = main(["eval", "--corpus", str(corpus), "--checkpoint", str(path)])
+    out, err = capsys.readouterr()
+    return rc, out, err.strip().splitlines()
+
+
 def assert_same_tracker(got, want):
     """Equal config, vocabulary and ontology; every tensor and catalog matrix equal in
     dtype, shape and bytes."""
     assert got.cfg == want.cfg
     assert got.vocab.tokens == want.vocab.tokens
     assert got.ontology == want.ontology
-    for group in ("params", "frozen_params"):
-        a, b = getattr(got, group), getattr(want, group)
-        assert a.keys() == b.keys()
-        for name in a:
-            x, y = a[name].data, b[name].data
-            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+    assert got.params.keys() == want.params.keys()
+    pairs = [(name, got.params[name].data, want.params[name].data) for name in got.params]
+    for name, x, y in pairs + [("catalog", got.catalog.rows, want.catalog.rows)]:
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
     assert got.catalog.slot_mat.tobytes() == want.catalog.slot_mat.tobytes()
     for slot, mat in want.catalog.value_mats.items():
         assert got.catalog.value_mats[slot].tobytes() == mat.tobytes()
@@ -90,7 +105,8 @@ def test_every_cut_of_the_payload_is_a_validation_error(saved):
     index error."""
     payload = saved.read_bytes()
     ends = field_boundaries(payload)
-    assert len(ends) > 5 * 60  # the d=4 tracker has 60 or more tensors
+    # the magic, the count, and five fields per tensor: the trainables, then the catalog
+    assert len(ends) == 2 + 5 * (len(d4_tracker().params) + 1)
     cuts = {n + delta for n in [0, *ends] for delta in (-1, 0, 1)}
     rng = random.Random(0)
     cuts |= {rng.randrange(len(payload)) for _ in range(200)}
@@ -146,6 +162,40 @@ def test_failed_first_save_leaves_no_file(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_save_killed_between_its_renames_leaves_a_pair_that_is_rejected(
+        saved, tmp_path, capsys):
+    """A process killed after the payload's rename and before the manifest's leaves the
+    new payload beside the old manifest, whose payload hash no longer matches: eval
+    exits 2 with one line, and the new weights are never loaded."""
+    old_manifest = manifest_of(saved).read_bytes()
+    old_payload = saved.read_bytes()
+    killed = textwrap.dedent("""
+        import os, sys
+        from maskdst import checkpoint as ckpt
+        tracker = ckpt.load_checkpoint(sys.argv[1])
+        tracker.params["gate.b"].data[:] = 7.0
+        real, calls = os.replace, []
+        def replace(src, dst):
+            calls.append(dst)
+            if len(calls) == 2:
+                os._exit(9)
+            real(src, dst)
+        os.replace = replace
+        ckpt.save_checkpoint(tracker, sys.argv[1])
+    """)
+    src = Path(ckpt.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", killed, str(saved)],
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 9
+    assert manifest_of(saved).read_bytes() == old_manifest
+    assert saved.read_bytes() != old_payload
+    rc, out, err = eval_checkpoint(saved, tmp_path, capsys)
+    assert (rc, out, len(err)) == (EXIT_VALIDATION, "", 1)
+    assert "does not match its manifest's payload hash" in err[0]
+    with pytest.raises(ValidationError, match="payload hash"):
+        ckpt.load_checkpoint(saved)
+
+
 def test_saved_files_get_the_mode_open_would_give_them(saved):
     umask = os.umask(0)
     os.umask(umask)
@@ -166,7 +216,7 @@ def test_manifest_holds_one_top_level_key_per_line(saved):
     lines = manifest_of(saved).read_text(encoding="utf-8").split("\n")
     assert lines[0] == "{" and lines[-2:] == ["}", ""]
     keys = [next(iter(json.loads("{" + line.rstrip(",") + "}"))) for line in lines[1:-2]]
-    assert keys == ["tensors", "config", "vocab", "ontology", "ontology_hash"]
+    assert keys == ["tensors", "config", "vocab", "ontology", "ontology_hash", "payload_sha256"]
 
 
 def test_manifest_in_the_indent_1_layout_loads_identically(saved):
@@ -176,16 +226,43 @@ def test_manifest_in_the_indent_1_layout_loads_identically(saved):
     assert_same_tracker(ckpt.load_checkpoint(saved), want)
 
 
-def test_checkpoint_of_the_indent_1_layout_loads_and_is_rewritten_identically(tmp_path):
-    """The stored pair loads to the tracker it was written from, and saving that
-    tracker gives the same payload bytes and a JSON-equal manifest."""
-    assert manifest_of(INDENT1).read_text().startswith('{\n "tensors": [\n  {\n')
-    loaded = ckpt.load_checkpoint(INDENT1)
+def test_checkpoint_of_the_indent_1_layout_loads_and_is_rewritten_identically(saved, tmp_path):
+    """A new checkpoint whose manifest is re-dumped with json.dump(indent=1), one value
+    per line, loads to the tracker it was written from, and saving that tracker gives
+    the same payload bytes and a JSON-equal manifest."""
+    man = manifest_of(saved)
+    man.write_text(json.dumps(json.loads(man.read_text()), indent=1) + "\n")
+    assert man.read_text().startswith('{\n "tensors": [\n  {\n')
+    loaded = ckpt.load_checkpoint(saved)
     assert_same_tracker(loaded, d4_tracker())
     again = tmp_path / "again.ckpt"
     ckpt.save_checkpoint(loaded, again)
-    assert again.read_bytes() == INDENT1.read_bytes()
-    assert json.loads(manifest_of(again).read_text()) == json.loads(
-        manifest_of(INDENT1).read_text())
+    assert again.read_bytes() == saved.read_bytes()
+    assert json.loads(manifest_of(again).read_text()) == json.loads(man.read_text())
     dialogue = data.generate_corpus(loaded.ontology, 1, seed=9)[0]
     assert loaded.predict(dialogue) == d4_tracker().predict(dialogue)
+
+
+def test_checkpoint_in_the_older_format_is_rejected_with_one_line(tmp_path, capsys):
+    assert INDENT1.read_bytes().startswith(b"MDSTCKP1")
+    rc, out, err = eval_checkpoint(INDENT1, tmp_path, capsys)
+    assert (rc, out, len(err)) == (EXIT_VALIDATION, "", 1)
+    assert "is in the older MDSTCKP1 checkpoint format" in err[0]
+
+
+# -- the stored catalog -----------------------------------------------------------
+
+def test_load_reads_the_catalog_without_encoding_it(saved, monkeypatch):
+    """The loaded catalog is the stored rows: no encode_catalog call, equal bytes to the
+    catalog the saved tracker encoded, and read-only like it."""
+    want = d4_tracker().catalog
+    calls = []
+    encode = model.encode_catalog
+    monkeypatch.setattr(model, "encode_catalog", lambda *a: calls.append(a) or encode(*a))
+    catalog = ckpt.load_checkpoint(saved).catalog
+    assert calls == []
+    got, rows = catalog.rows, want.rows
+    assert (got.dtype, got.shape, got.tobytes()) == (rows.dtype, rows.shape, rows.tobytes())
+    for array in (got, catalog.slot_mat, *catalog.value_mats.values()):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,8 @@ from maskdst import autodiff as ad
 from maskdst import checkpoint as ckpt
 from maskdst import data, encoders, training
 from maskdst.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
-from maskdst.data import demo_ontology, generate_corpus, load_corpus, save_corpus
+from maskdst.data import Ontology, demo_ontology, generate_corpus, load_corpus, save_corpus
+from maskdst.encoders import SlotCatalog
 from maskdst.model import ModelConfig, StateTracker
 from reference_chains import apply_state_ops, beliefs_equal
 
@@ -220,9 +223,35 @@ class TestTrainEvalPipeline:
 def set_entry(ck, name, value):
     """Rewrite checkpoint `ck` with entry 1 of its tensor `name` set to `value`."""
     tracker = ckpt.load_checkpoint(ck)
-    group = tracker.params if name in tracker.params else tracker.frozen_params
-    group[name].data.reshape(-1)[1] = value
+    tracker.params[name].data.reshape(-1)[1] = value
     ckpt.save_checkpoint(tracker, ck)
+
+
+def set_catalog(ck, man, edit):
+    """Rewrite checkpoint `ck` with the catalog rows that `edit` makes of a writable copy
+    of its own, and its manifest `man` as that save wrote it."""
+    tracker = ckpt.load_checkpoint(ck)
+    tracker.catalog = SlotCatalog(tracker.ontology, edit(tracker.catalog.rows.copy()))
+    ckpt.save_checkpoint(tracker, ck)
+    man.update(json.loads(Path(ckpt.manifest_path(ck)).read_text()))
+
+
+def drop_catalog(ck, man):
+    """Rewrite checkpoint `ck` without its last tensor, the catalog, and its manifest `man`
+    to match, payload hash included."""
+    rows, d = man["tensors"].pop()["shape"]
+    payload = ck.read_bytes()
+    size = 4 + len("catalog") + 4 + 8 * 2 + 8 * rows * d  # name, rank, shape, data
+    payload = payload[:8] + struct.pack("<I", len(man["tensors"])) + payload[12:-size]
+    ck.write_bytes(payload)
+    man["payload_sha256"] = hashlib.sha256(payload).hexdigest()
+
+
+def add_value(man):
+    """Give the first slot of manifest `man`'s ontology one more value, and the ontology
+    its new hash."""
+    next(iter(man["ontology"].values())).append("aardvark")
+    man["ontology_hash"] = ckpt.ontology_hash(Ontology(man["ontology"]))
 
 
 def assert_one_line_error(rc, capsys, message):
@@ -459,8 +488,12 @@ class TestRejectedInput:
         (lambda ck, man: man.pop("vocab"), "manifest.json lacks vocab"),
         (lambda ck, man: man.pop("ontology"), "manifest.json lacks ontology"),
         (lambda ck, man: man.pop("ontology_hash"), "manifest.json lacks ontology_hash"),
+        (lambda ck, man: man.pop("payload_sha256"), "manifest.json lacks payload_sha256"),
+        (lambda ck, man: man.update(payload_sha256="0" * 64),
+         "does not match its manifest's payload hash"),
         (lambda ck, man: man["tensors"][0].pop("name"), "manifest.json tensors[0] lacks name"),
-        (lambda ck, man: man["tensors"][0].pop("role"), "manifest.json tensors[0] lacks role"),
+        (lambda ck, man: man["tensors"][0].update(role="trainable"),
+         "manifest.json tensors[0] has unknown keys: role"),
         (lambda ck, man: man["tensors"][1].pop("shape"),
          "manifest.json tensors[1] lacks shape"),
         (lambda ck, man: man["tensors"][2].update(name=["turn.embed"]),
@@ -480,23 +513,27 @@ class TestRejectedInput:
          "encoder_layers must be >= 1, got 0"),
         (lambda ck, man: man["tensors"][0]["shape"].__setitem__(0, 8.0),
          "manifest.json tensors[0].shape[0] must be an int, got float"),
-        (lambda ck, man: man["tensors"][3].update(role="optimizer"),
-         "manifest.json tensors[3].role must be one of trainable, frozen, got 'optimizer'"),
         # before the finiteness check, a NaN weight evaluated to exit 0 and accuracy 0.0
         (lambda ck, man: set_entry(ck, "glob.slotatt.wq", np.nan),
          "tensor 'glob.slotatt.wq' holds a non-finite value"),
-        (lambda ck, man: set_entry(ck, "frozen.l0.attn.wv", np.inf),
-         "tensor 'frozen.l0.attn.wv' holds a non-finite value"),
+        (lambda ck, man: set_catalog(ck, man, lambda rows: rows.put(1, np.inf) or rows),
+         "tensor 'catalog' holds a non-finite value"),
         (lambda ck, man: set_entry(ck, "op.out.b", -np.inf),
          "tensor 'op.out.b' holds a non-finite value"),
+        (drop_catalog, "needs a catalog of shape (35, 8)"),
+        (lambda ck, man: add_value(man), "needs a catalog of shape (36, 8)"),
+        (lambda ck, man: set_catalog(ck, man, lambda rows: rows[:, :-1]),
+         "needs a catalog of shape (35, 8)"),
     ], ids=["truncated", "trailing-bytes", "count", "shape", "unknown-key",
             "learned-positions", "no-positions", "tied-paths", "manifest-not-object",
             "no-tensors", "no-config", "no-vocab", "no-ontology", "no-ontology-hash",
-            "entry-no-name", "entry-no-role", "entry-no-shape", "name-list", "vocab-token-int",
+            "no-payload-hash", "payload-hash",
+            "entry-no-name", "entry-with-role", "entry-no-shape", "name-list", "vocab-token-int",
             "vocab-longer-than-embedding", "vocab-token-twice", "vocab-reserved-out-of-order",
             "config-d-disagrees", "encoder-layers-0",
             "shape-entry-float",
-            "role-unknown", "nan-weight", "inf-frozen", "minus-inf-bias"])
+            "nan-weight", "inf-catalog", "minus-inf-bias", "no-catalog", "catalog-rows",
+            "catalog-width"])
     def test_eval_corrupt_checkpoint(self, corpus_file, checkpoint_file, capsys,
                                      corrupt, message):
         ck = Path(checkpoint_file)
@@ -636,8 +673,7 @@ class TestCheckpointRoundTrip:
         assert loaded.vocab.tokens == tracker.vocab.tokens
         for k, p in tracker.params.items():
             assert np.array_equal(loaded.params[k].data, p.data)
-        for k, p in tracker.frozen_params.items():
-            assert np.array_equal(loaded.frozen_params[k].data, p.data)
+        assert np.array_equal(loaded.catalog.rows, tracker.catalog.rows)
         for slot in onto.slot_names:
             assert np.array_equal(loaded.catalog.value_mats[slot],
                                   tracker.catalog.value_mats[slot])
@@ -645,26 +681,6 @@ class TestCheckpointRoundTrip:
         preds_a = tracker.predict(corpus[0])
         preds_b = loaded.predict(corpus[0])
         assert preds_a == preds_b
-
-    def test_manifest_with_retired_settings_loads_identically(self, tmp_path):
-        """Older manifests record use_positional, learned_positions and tie_paths;
-        their one supported value (sinusoidal positions, separate branch weights)
-        is dropped on load."""
-        onto = demo_ontology()
-        corpus = generate_corpus(onto, 4, seed=5)
-        tracker = StateTracker(ModelConfig(d=8, heads=2, ff=16, four_class=True),
-                               data.build_vocab(corpus, onto), onto)
-        path = tmp_path / "m.ckpt"
-        ckpt.save_checkpoint(tracker, path)
-        man_path = Path(ckpt.manifest_path(path))
-        manifest = json.loads(man_path.read_text())
-        manifest["config"].update(use_positional=True, learned_positions=False, tie_paths=False)
-        man_path.write_text(json.dumps(manifest))
-        loaded = ckpt.load_checkpoint(path)
-        assert loaded.cfg == tracker.cfg
-        for d in corpus:
-            for mode in ("direct", "op_gated"):
-                assert loaded.predict(d, mode) == tracker.predict(d, mode)
 
 
 class TestGradCheckCommand:

@@ -24,7 +24,7 @@ from maskdst.encoders import (
     init_encoder,
     positional_encoding,
 )
-from maskdst.model import ModelConfig, StateTracker
+from maskdst.model import ModelConfig, StateTracker, catalog_encoder
 from maskdst.training import tiny_setup
 from reference_chains import encode_catalog_per_entry, slot_vecs_of, sub, tsum
 from test_fused_ops import MODEL_CASES, case_tracker
@@ -61,7 +61,7 @@ class TestEncodeTurn:
         cfg = ModelConfig(d=8, heads=2, encoder_layers=1, ff=16)
         params = make_params(cfg, vocab, prefix="frozen")
         ontology = Ontology({"w5 w6": ["none", "dontcare", "w7"]})
-        catalog = encode_catalog(ontology, params, "frozen", cfg, vocab)
+        catalog = encode_catalog(ontology, params, cfg, vocab)
 
         def cls_row(text):
             return encode_turn(tokenize_catalog_entry(text, vocab), params, "frozen", cfg).data[0]
@@ -153,7 +153,7 @@ class TestCatalog:
 
     def test_values_get_distinct_embeddings(self, setup):
         ontology, vocab, cfg, params = setup
-        catalog = encode_catalog(ontology, params, "frozen", cfg, vocab)
+        catalog = encode_catalog(ontology, params, cfg, vocab)
         mat = catalog.value_mats["big-slot"]
         dists = np.sqrt(((mat[:, None] - mat[None, :]) ** 2).sum(-1))
         iu = np.triu_indices(len(mat), 1)
@@ -161,8 +161,8 @@ class TestCatalog:
 
     def test_bit_identical_across_calls(self, setup):
         ontology, vocab, cfg, params = setup
-        a = encode_catalog(ontology, params, "frozen", cfg, vocab)
-        b = encode_catalog(ontology, params, "frozen", cfg, vocab)
+        a = encode_catalog(ontology, params, cfg, vocab)
+        b = encode_catalog(ontology, params, cfg, vocab)
         for slot in ontology.slot_names:
             assert np.array_equal(a.value_mats[slot], b.value_mats[slot])
             assert np.array_equal(slot_vecs_of(a)[slot], slot_vecs_of(b)[slot])
@@ -171,7 +171,7 @@ class TestCatalog:
         ontology, vocab, cfg, params = setup
         for p in params.values():
             p.requires_grad = False
-        catalog = encode_catalog(ontology, params, "frozen", cfg, vocab)
+        catalog = encode_catalog(ontology, params, cfg, vocab)
         query = ad.parameter(np.zeros(8))
         h_v = ad.constant(catalog.value_mats["other"][2])
         ad.backward(tsum(sub(query, h_v) * sub(query, h_v)))
@@ -217,7 +217,8 @@ class TestBatchedCatalog:
         corpus = generate_corpus(onto, 3, seed=11, shape=GenShape(min_turns=3, max_turns=5))
         vocab = build_vocab(corpus, onto)
         tracker = case_tracker(case, vocab, onto)
-        want = encode_catalog_per_entry(onto, tracker.frozen_params, "frozen", tracker.cfg, vocab)
+        want = encode_catalog_per_entry(onto, catalog_encoder(tracker.cfg, len(vocab)),
+                                        tracker.cfg, vocab)
         assert_same_catalog(tracker.catalog, want, onto)
 
     @pytest.mark.parametrize("cfg", [ModelConfig(), ModelConfig(d=8, heads=2, ff=16, seed=5),
@@ -228,7 +229,7 @@ class TestBatchedCatalog:
         lengths = frame_lengths(onto, vocab)
         assert len(lengths) >= 3 and 1 in lengths.values()
         tracker = StateTracker(cfg, vocab, onto)
-        want = encode_catalog_per_entry(onto, tracker.frozen_params, "frozen", cfg, vocab)
+        want = encode_catalog_per_entry(onto, catalog_encoder(cfg, len(vocab)), cfg, vocab)
         assert_same_catalog(tracker.catalog, want, onto)
 
     @pytest.mark.parametrize("world", ["demo", "tiny", "multi-length"])
@@ -244,7 +245,7 @@ class TestBatchedCatalog:
         encode = encoders.encode_turn
         monkeypatch.setattr(encoders, "encode_turn",
                             lambda ids, *rest: passes.append(np.shape(ids)) or encode(ids, *rest))
-        catalog = encode_catalog(onto, tracker.frozen_params, "frozen", tracker.cfg, vocab)
+        catalog = encode_catalog(onto, catalog_encoder(tracker.cfg, len(vocab)), tracker.cfg, vocab)
         lengths = frame_lengths(onto, vocab)
         assert len(passes) == len(lengths) == {"demo": 2, "tiny": 1, "multi-length": 5}[world]
         assert sorted(passes) == sorted((n, length) for length, n in lengths.items())

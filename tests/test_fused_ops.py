@@ -358,7 +358,7 @@ def test_tracker_loss_and_grads_bit_identical_to_chains(case, reference_chains):
             if g is not None:
                 assert np.array_equal(g, ref_grads[name]), name
     # a cold tracker on the same weights, so no turn summary made by the fused path is reused
-    cold = StateTracker(tracker.cfg, vocab, onto, tracker.params, tracker.frozen_params)
+    cold = StateTracker(tracker.cfg, vocab, onto, tracker.params)
     assert [cold.predict(d, "op_gated") for d in corpus] == fused_beliefs
 
 

@@ -47,8 +47,7 @@ def make_tracker(tie=False, **settings):
 
 
 def cold(tracker):
-    return StateTracker(tracker.cfg, tracker.vocab, tracker.ontology,
-                        tracker.params, tracker.frozen_params)
+    return StateTracker(tracker.cfg, tracker.vocab, tracker.ontology, tracker.params)
 
 
 def untaped(tracker, dialogue, with_ops=True):

@@ -348,8 +348,7 @@ def test_tracker_equals_per_slot_oracle(case, sv_only):
 @pytest.mark.parametrize("seed", range(3))
 def test_tiny_setup_equals_per_slot_oracle(seed):
     tracker, dialogue = tiny_setup(seed)
-    oracle = ref.PerSlotTracker(tracker.cfg, tracker.vocab, tracker.ontology,
-                                tracker.params, tracker.frozen_params)
+    oracle = ref.PerSlotTracker(tracker.cfg, tracker.vocab, tracker.ontology, tracker.params)
     for sv_only in (False, True):
         loss, report, grads = loss_and_grads(tracker, dialogue, sv_only)
         grads = {k: g.tobytes() for k, g in grads.items() if g is not None}
